@@ -134,7 +134,7 @@ struct JsonReport {
     bool has_percentiles = true;
   };
   std::vector<Phase> phases;
-  /// Pass/fail of the run's internal invariants (e.g. e12 byte-identity).
+  /// Pass/fail of the run's internal invariants (e.g. e11 replay identity).
   /// Not serialized; run_seeded() turns it into the process exit code.
   bool ok = true;
 };
@@ -702,14 +702,40 @@ inline GateFinding gate_metric(const std::string& bench, const std::string& name
   return f;
 }
 
+/// A baseline metric the candidate did not report: lost coverage, which
+/// fails when gated unless opts.allow_missing.
+inline GateFinding missing_metric(const std::string& bench, const std::string& name,
+                                  const MetricSummary& base, const GateOptions& opts) {
+  GateFinding f;
+  f.bench = bench;
+  f.metric = name;
+  f.cls = classify_metric(bench, name);
+  f.baseline_mean = base.mean;
+  f.gated = f.cls != MetricClass::Informational;
+  f.failed = f.gated && !opts.allow_missing;
+  f.note = "metric missing from candidate run";
+  return f;
+}
+
 /// Gates every metric of `candidate` against the matching `baseline` bench
-/// entry. Baseline metrics absent from the candidate fail (unless
+/// entry. Baseline metrics absent from the candidate — including every
+/// metric of a baseline bench the candidate did not run — fail (unless
 /// opts.allow_missing); candidate metrics with no baseline are noted as
 /// new, never failed. Returns true when nothing failed.
 inline bool gate_reports(const std::vector<MultiRunReport>& baseline,
                          const std::vector<MultiRunReport>& candidate,
                          const GateOptions& opts, std::vector<GateFinding>& findings) {
   bool ok = true;
+  for (const auto& base : baseline) {
+    const bool ran = std::any_of(candidate.begin(), candidate.end(),
+                                 [&](const MultiRunReport& c) { return c.bench == base.bench; });
+    if (ran) continue;
+    for (const auto& [name, bsum] : base.metrics) {
+      GateFinding f = missing_metric(base.bench, name, bsum, opts);
+      ok = ok && !f.failed;
+      findings.push_back(std::move(f));
+    }
+  }
   for (const auto& cand : candidate) {
     const MultiRunReport* base = nullptr;
     for (const auto& b : baseline) {
@@ -726,13 +752,7 @@ inline bool gate_reports(const std::vector<MultiRunReport>& baseline,
     for (const auto& [name, bsum] : base->metrics) {
       const MetricSummary* csum = cand.find_metric(name);
       if (csum == nullptr) {
-        GateFinding f;
-        f.bench = cand.bench;
-        f.metric = name;
-        f.cls = classify_metric(cand.bench, name);
-        f.gated = f.cls != MetricClass::Informational;
-        f.failed = f.gated && !opts.allow_missing;
-        f.note = "metric missing from candidate run";
+        GateFinding f = missing_metric(cand.bench, name, bsum, opts);
         ok = ok && !f.failed;
         findings.push_back(std::move(f));
         continue;

@@ -30,8 +30,7 @@ inline std::vector<std::string> common_flag_names() {
           "json",             "view",
           "workload",         "faults",
           "fault-seed",       "overload",
-          "threads",          trace::kTraceFlag,
-          trace::kTraceBufferFlag,
+          trace::kTraceFlag,  trace::kTraceBufferFlag,
           "help"};
 }
 
@@ -62,11 +61,21 @@ inline void print_phase_breakdown(const bots::SimulationResult& r) {
 ///   --workload=walk|village|build|mixed --view=N
 /// plus fault injection: --faults=FILE [--fault-seed=N] (see bots/faults.h
 /// for the schedule format) and tracing: --trace=FILE [--trace-buffer=N].
-inline bots::SimulationConfig base_config(const Flags& flags) {
+/// The warmup is counted inside the duration, so a run whose warmup does
+/// not end before its duration would measure nothing: it exits(2) instead.
+/// Benches with other default durations pass them in.
+inline bots::SimulationConfig base_config(const Flags& flags,
+                                          std::int64_t default_duration_s = 45,
+                                          std::int64_t default_warmup_s = 15) {
   bots::SimulationConfig cfg;
   cfg.players = static_cast<std::size_t>(flags.get_int("players", 50));
-  cfg.duration = SimDuration::seconds(flags.get_int("duration", 45));
-  cfg.warmup = SimDuration::seconds(flags.get_int("warmup", 15));
+  cfg.duration = SimDuration::seconds(flags.get_int("duration", default_duration_s));
+  cfg.warmup = SimDuration::seconds(flags.get_int("warmup", default_warmup_s));
+  if (cfg.warmup >= cfg.duration) {
+    std::fprintf(stderr, "--warmup=%.0f must be less than --duration=%.0f (seconds)\n",
+                 cfg.warmup.as_seconds(), cfg.duration.as_seconds());
+    std::exit(2);
+  }
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   cfg.view_distance = static_cast<int>(flags.get_int("view", 8));
   cfg.workload.kind = bots::parse_workload(flags.get_string("workload", "village"));
@@ -90,9 +99,6 @@ inline bots::SimulationConfig base_config(const Flags& flags) {
       std::exit(2);
     }
   }
-  // --threads=1 (default) is the serial oracle; >1 shards flush/serialize
-  // work across a pool with byte-identical wire output (DESIGN.md §9).
-  cfg.flush_threads = static_cast<std::size_t>(flags.get_int("threads", 1));
   return cfg;
 }
 
@@ -202,7 +208,7 @@ inline int run_seeded(const Flags& flags,
 }
 
 /// Fills the shared parts of a simulation-backed report: config (players,
-/// seed, policy, workload, threads, duration), core egress/tick metrics,
+/// seed, policy, workload, duration), core egress/tick metrics,
 /// and the per-phase breakdown with mean/p50/p95/p99.
 inline JsonReport simulation_report(const std::string& bench,
                                     const bots::SimulationConfig& cfg,
@@ -216,7 +222,6 @@ inline JsonReport simulation_report(const std::string& bench,
       {"workload", json_str(bots::workload_name(cfg.workload.kind))},
       {"view_distance", json_num(cfg.view_distance)},
       {"duration_s", json_num(cfg.duration.as_seconds())},
-      {"flush_threads", json_num(static_cast<double>(cfg.flush_threads))},
   };
   out.metrics = {
       {"egress_bytes_per_sec", r.egress_bytes_per_sec},

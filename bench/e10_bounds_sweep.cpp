@@ -33,10 +33,9 @@ int main(int argc, char** argv) {
   for (const auto theta : thetas) {
     for (const auto dx10 : deltas_x10) {
       const double delta = static_cast<double>(dx10) / 10.0;
-      auto cfg = base_config(flags);
+      auto cfg = base_config(flags, /*default_duration_s=*/35);
       cfg.seed = seed;
       cfg.players = static_cast<std::size_t>(flags.get_int("players", 60));
-      cfg.duration = SimDuration::seconds(flags.get_int("duration", 35));
       cfg.policy =
           "static:" + std::to_string(theta) + ":" + std::to_string(delta);
       cfg.record_staleness = true;

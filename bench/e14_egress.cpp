@@ -4,7 +4,7 @@
 // allocations per tick (pool misses — must amortize to zero), flush-phase
 // mean time, and wire throughput.
 //
-//   e14_egress [--players=200] [--duration=45] [--threads=1]
+//   e14_egress [--players=200] [--duration=45]
 //              [--runs=N | --seeds=a,b,c] [--json=FILE]
 //              [--assert-alloc-ceiling=X]   fail (exit 1) if steady-state
 //                                           pool misses/tick exceed X

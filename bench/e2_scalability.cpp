@@ -45,9 +45,8 @@ int main(int argc, char** argv) {
   std::map<std::string, std::int64_t> capacity;
   for (const auto& policy : policies) {
     for (const auto players : player_counts) {
-      auto cfg = base_config(flags);
+      auto cfg = base_config(flags, /*default_duration_s=*/40);
       cfg.seed = seed;
-      cfg.duration = SimDuration::seconds(flags.get_int("duration", 40));
       cfg.players = static_cast<std::size_t>(players);
       cfg.policy = policy;
       const auto r = run(cfg);

@@ -210,11 +210,9 @@ int main(int argc, char** argv) {
     if (flags.get_bool("measured", false)) {
       print_title("E6b: measured tick-phase breakdown (ms per tick)");
       for (const std::string policy : {"vanilla", "director"}) {
-        auto cfg = base_config(flags);
+        auto cfg = base_config(flags, /*default_duration_s=*/20, /*default_warmup_s=*/8);
         cfg.seed = seed;
         cfg.players = static_cast<std::size_t>(flags.get_int("players", 60));
-        cfg.duration = dyconits::SimDuration::seconds(flags.get_int("duration", 20));
-        cfg.warmup = dyconits::SimDuration::seconds(flags.get_int("warmup", 8));
         cfg.policy = policy;
         cfg.profile_phases = true;
         const auto r = run(cfg);

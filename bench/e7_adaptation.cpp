@@ -44,10 +44,9 @@ int main(int argc, char** argv) {
       {"policies", json_str(flags.get_string("policies", "aoi,director"))},
   };
   for (const auto& policy : policies) {
-    auto cfg = base_config(flags);
+    auto cfg = base_config(flags, /*default_duration_s=*/180, /*default_warmup_s=*/10);
     cfg.seed = seed;
     cfg.players = static_cast<std::size_t>(flags.get_int("players", 120));
-    cfg.duration = SimDuration::seconds(flags.get_int("duration", 180));
     cfg.warmup = SimDuration::seconds(10);
     cfg.policy = policy;
     cfg.workload.kind = bots::WorkloadKind::Walk;  // start spread out

@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
   for (const auto radius : radii) {
     double vanilla_rate = 0.0;
     for (const std::string policy : {"vanilla", "director"}) {
-      auto cfg = base_config(flags);
+      auto cfg = base_config(flags, /*default_duration_s=*/40);
       cfg.seed = seed;
       cfg.players = static_cast<std::size_t>(flags.get_int("players", 100));
-      cfg.duration = SimDuration::seconds(flags.get_int("duration", 40));
       cfg.policy = policy;
       if (policy == "director") {
         cfg.bandwidth_budget_bps = flags.get_double("budget_mbps", 4.0) * 1e6;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the canonical perf tier (e11-e15) across DYCONITS_BENCH_RUNS seeds
-# (default 5; Meterstick asks for >=5) and bundles the five schema-2
+# Runs the canonical perf tier (e11, e13-e15) across DYCONITS_BENCH_RUNS
+# seeds (default 5; Meterstick asks for >=5) and bundles the four schema-2
 # cross-seed reports into one snapshot array. This script is the single
 # source of truth for the tier's configurations: scripts/rebaseline.sh
 # --bench uses it to regenerate the committed BENCH_<pr>.json baseline, and
@@ -24,8 +24,8 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build" -j "$jobs" \
-  --target bench_gate e11_chaos e12_parallel e13_overload e14_egress \
-  e15_transport >/dev/null
+  --target bench_gate e11_chaos e13_overload e14_egress e15_transport \
+  >/dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -33,10 +33,6 @@ trap 'rm -rf "$tmp"' EXIT
 echo "-- e11_chaos: $runs seeds (degradation + recovery under loss)"
 "$build/bench/e11_chaos" --players=12 --duration=30 --warmup=8 --loss=0,10 \
   --runs="$runs" --json="$tmp/e11.json" >"$tmp/e11.out"
-
-echo "-- e12_parallel: $runs seeds (parallel flush vs serial oracle)"
-"$build/bench/e12_parallel" --players=80 --duration=10 --warmup=3 \
-  --threads-list=1,4 --runs="$runs" --json="$tmp/e12.json" >"$tmp/e12.out"
 
 echo "-- e13_overload: $runs seeds (overload-control ladder)"
 "$build/bench/e13_overload" --players=16 --duration=25 --warmup=5 --load=1,4 \
@@ -51,6 +47,5 @@ echo "-- e15_transport: $runs repeats (UDP framing vs sim, wall-clock)"
   --runs="$runs" --json="$tmp/e15.json" >"$tmp/e15.out"
 
 "$build/bench/bench_gate" --bundle="$out" \
-  "$tmp/e11.json" "$tmp/e12.json" "$tmp/e13.json" "$tmp/e14.json" \
-  "$tmp/e15.json"
+  "$tmp/e11.json" "$tmp/e13.json" "$tmp/e14.json" "$tmp/e15.json"
 "$build/bench/bench_gate" --check="$out"

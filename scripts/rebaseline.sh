@@ -6,7 +6,7 @@
 #   scripts/rebaseline.sh --bench [build-dir]   # multi-seed perf snapshot
 #
 # Default mode rewrites tests/golden/serial_wire.txt from the
-# single-threaded oracle (see GoldenRun.SerialWireBaselineUnchanged in
+# serial flush path (see GoldenRun.SerialWireBaselineUnchanged in
 # tests/determinism_test.cpp). --bench re-runs the canonical perf tier
 # (scripts/bench_snapshot.sh, DYCONITS_BENCH_RUNS seeds, default 5) and
 # rewrites the latest BENCH_<pr>.json — the baseline `scripts/verify.sh

@@ -2,8 +2,8 @@
 # Full verification: tier-1 build + tests, then the chaos suite across a
 # fault-seed matrix, then the unit-test suite again under AddressSanitizer +
 # UBSan (DYCONITS_SANITIZE) including a 100k-iteration protocol fuzz pass,
-# then the determinism + chaos suites under ThreadSanitizer with the
-# parallel flush pipeline on (--threads=4; DESIGN.md §9), then a check that
+# then the trace suite under ThreadSanitizer (the Tracer's per-thread rings
+# and atomics are the synchronisation left in the tree), then a check that
 # the compile-out switch (DYCONITS_TRACING=OFF) still builds, then the
 # end-to-end UDP run: server + bot clients as separate OS processes over
 # loopback must produce the exact wire hashes the in-process sim oracle
@@ -164,8 +164,8 @@ if want perf-smoke; then
   # a small fast run gates it; bench/e14_egress at full scale is the
   # measurement, this is the regression tripwire. The golden-wire determinism
   # suite in the tier-1 ctest pass above already re-proves byte-identity with
-  # pooling on across --threads={1,2,4,8}, and the ASan pass below runs
-  # egress_test over the pool/shared-frame lifecycle.
+  # pooling on, and the ASan pass below runs egress_test over the
+  # pool/shared-frame lifecycle.
   "$prefix/bench/e14_egress" --players=60 --duration=30 --assert-alloc-ceiling=0
 fi
 
@@ -192,28 +192,25 @@ if want asan; then
   DYCONITS_FUZZ_ITERS=100000 \
     ctest --test-dir "$prefix-sanitize" --output-on-failure -R protocol_fuzz_test
   # Acceptance floor for overload control (DESIGN.md §10): the full 10k-tick
-  # saturating-load run — queue caps, sustained tick cost, and the
-  # threads-{1,2,4} byte-identity check — must also hold with ASan+UBSan
-  # watching the egress-queue memory churn.
+  # saturating-load run — queue caps, sustained tick cost, and the same-seed
+  # rerun identity check — must also hold with ASan+UBSan watching the
+  # egress-queue memory churn.
   DYCONITS_OVERLOAD_TICKS=10000 \
     ctest --test-dir "$prefix-sanitize" --output-on-failure -L overload
 fi
 
 if want tsan; then
-  echo "== tsan: determinism + chaos + overload suites, parallel flush pipeline =="
-  # TSan and ASan cannot share a build; a dedicated tree runs the suites
-  # that exercise the sharded flush path. Threads forced to 4 so worker code
-  # actually runs concurrently; ticks/seeds trimmed — TSan is ~10x slower and
-  # the full matrix already ran in the tier-1 pass. The determinism label now
-  # includes the overload-ladder scenario (rung transitions byte-identical at
-  # --threads=4), and the overload acceptance run re-checks the egress-queue
-  # path under concurrent flush workers.
+  echo "== tsan: trace suite (per-thread rings, profiler ownership) =="
+  # TSan and ASan cannot share a build; a dedicated tree runs the one suite
+  # whose code runs on several threads at once: trace_test emits spans from
+  # concurrent std::threads into the Tracer's per-thread rings and checks
+  # that only the installing thread feeds the tick profiler. The simulation
+  # itself is single-threaded, so the determinism/chaos/overload suites
+  # would give TSan nothing to watch.
   cmake -B "$prefix-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDYCONITS_SANITIZE=thread
-  cmake --build "$prefix-tsan" -j "$jobs"
-  DYCONITS_CHAOS_THREADS=4 DYCONITS_DET_TICKS=300 DYCONITS_DET_SEEDS=2 \
-    DYCONITS_OVERLOAD_TICKS=2000 \
-    ctest --test-dir "$prefix-tsan" --output-on-failure -L "determinism|chaos|overload"
+  cmake --build "$prefix-tsan" -j "$jobs" --target trace_test
+  ctest --test-dir "$prefix-tsan" --output-on-failure -R "^trace_test$"
 fi
 
 if want notrace; then
@@ -291,7 +288,7 @@ if want bench-gate; then
   # Meterstick discipline (PAPERS.md): performance claims are only trusted
   # across seeds with their variability reported, and only defended by a
   # committed baseline. The canonical tier (scripts/bench_snapshot.sh:
-  # e12-e15) re-runs across DYCONITS_BENCH_RUNS seeds; bench_gate fails the
+  # e11, e13-e15) re-runs across DYCONITS_BENCH_RUNS seeds; bench_gate fails the
   # stage when a gated metric moves beyond max(recorded noise band, 5%) in
   # its bad direction. Intended perf changes rebaseline with
   # `scripts/rebaseline.sh --bench` and commit the new BENCH_<pr>.json.

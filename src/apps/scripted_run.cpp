@@ -188,7 +188,6 @@ server::ServerConfig scripted_server_config(const ScriptedConfig& cfg) {
   server::ServerConfig scfg;
   scfg.view_distance = 4;
   scfg.use_dyconits = true;
-  scfg.flush_threads = 1;
   scfg.env_ticks_per_tick = 0;
   scfg.mob_count = cfg.mobs;
   scfg.mob_seed = cfg.seed ^ 0x30B5ull;

@@ -44,7 +44,6 @@ Simulation::Simulation(SimulationConfig cfg)
   scfg.survival_mode = cfg_.survival;
   scfg.mob_seed = cfg_.seed ^ 0x30B5ull;
   scfg.profile_ticks = cfg_.profile_phases;
-  scfg.flush_threads = cfg_.flush_threads;
   scfg.deterministic_load = cfg_.deterministic_load;
   scfg.overload = cfg_.overload;
   scfg.mob_spawn_radius =

@@ -91,14 +91,9 @@ struct SimulationConfig {
   /// span timestamps on the send path, so off unless the run prints it.
   bool profile_phases = false;
 
-  /// Flush/serialize executors (see ServerConfig::flush_threads). 1 = the
-  /// serial oracle; >1 shards flush work across a thread pool with wire
-  /// bytes byte-identical to the oracle for the same seed (DESIGN.md §9).
-  std::size_t flush_threads = 1;
-
   /// Pin adaptive policies to the modeled (deterministic) tick-cost signal
   /// instead of measured wall-clock CPU — required for byte-exact replay
-  /// across hosts and thread counts (see ServerConfig::deterministic_load).
+  /// across hosts and builds (see ServerConfig::deterministic_load).
   bool deterministic_load = false;
 
   /// Test hook: last-chance edit of the derived ServerConfig before the

@@ -4,6 +4,11 @@
 
 namespace dyconits::dyconit {
 
+namespace {
+
+// Folds one flush into the aggregate counters. weight_delivered is a
+// floating-point sum, so callers settle flushes in canonical order to keep
+// it reproducible (FP addition is not associative).
 void account_flush(const PendingFlush& p, SimTime now, Stats& stats) {
   switch (p.reason) {
     case FlushReason::Staleness: ++stats.flushes_staleness; break;
@@ -19,6 +24,8 @@ void account_flush(const PendingFlush& p, SimTime now, Stats& stats) {
     }
   }
 }
+
+}  // namespace
 
 bool SubscriberQueue::enqueue(const Update& u) {
   total_weight_ += u.weight;
@@ -147,23 +154,6 @@ void Dyconit::enqueue(const Update& u, SubscriberId exclude, Stats& stats) {
   }
 }
 
-PendingFlush Dyconit::take_due(SubscriberId sub, SimTime now,
-                               std::size_t snapshot_threshold,
-                               const ShedDirective& shed) {
-  PendingFlush p;
-  take_due_into(sub, now, snapshot_threshold, shed, p);
-  return p;
-}
-
-void Dyconit::take_due_into(SubscriberId sub, SimTime now,
-                            std::size_t snapshot_threshold,
-                            const ShedDirective& shed, PendingFlush& p) {
-  p.reset();
-  const auto it = subs_.find(sub);
-  if (it == subs_.end()) return;
-  take_due_core(it->second, now, snapshot_threshold, shed, p);
-}
-
 void Dyconit::take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
                             const ShedDirective& shed, PendingFlush& p) {
   if (shed.shed_entity_moves && !s.queue.empty()) {
@@ -187,8 +177,8 @@ void Dyconit::take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
   }
 }
 
-void Dyconit::settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink& sink,
-                     Stats& stats) {
+void Dyconit::settle(SubscriberId sub, const PendingFlush& p, SimTime now,
+                     FlushSink& sink, Stats& stats) {
   if (p.shed > 0) {
     stats.shed_updates += p.shed;
     stats.shed_weight += p.shed_weight;
@@ -201,8 +191,6 @@ void Dyconit::settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink&
   }
   if (p.kind != PendingFlush::Kind::Flush || p.updates.empty()) return;
   account_flush(p, now, stats);
-  // Reused scratch (tick thread only); settle never moves from p, so a
-  // caller may pass the same PendingFlush again after this returns.
   std::vector<FlushSink::FlushedUpdate>& flushed = views_scratch_;
   flushed.clear();
   flushed.reserve(p.updates.size());
@@ -212,9 +200,9 @@ void Dyconit::settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink&
 
 void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
                         std::size_t snapshot_threshold, const ShedDirectiveMap* shed) {
-  // Canonical order: the serial oracle settles subscribers in the same
-  // ascending order the parallel merge phase uses (DESIGN.md §9). Sink
-  // callbacks must not touch this dyconit's subscription set.
+  // Canonical (ascending subscriber id) order: the wire stream and the
+  // weight_delivered sum depend on it. Sink callbacks must not touch this
+  // dyconit's subscription set.
   static const ShedDirective kNoShed;
   for (const auto& [sub, slot] : sorted_slots()) {
     const ShedDirective* d = &kNoShed;
@@ -222,14 +210,14 @@ void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
       const auto it = shed->find(sub);
       if (it != shed->end()) d = &it->second;
     }
-    // take_scratch_ is reused across pairs (and ticks): settle does not
-    // move from it, and take_into swaps its capacity back into the queue,
-    // so the steady-state loop performs no vector allocations.
+    // take_scratch_ is reused across pairs (and ticks): take_into swaps its
+    // capacity back into the queue, so the steady-state loop performs no
+    // vector allocations.
     PendingFlush& p = take_scratch_;
     p.reset();
     take_due_core(*slot, now, snapshot_threshold, *d, p);
     if (p.kind != PendingFlush::Kind::None || p.shed > 0) {
-      settle(sub, std::move(p), now, sink, stats);
+      settle(sub, p, now, sink, stats);
     }
   }
 }
@@ -242,7 +230,7 @@ void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
   p.kind = PendingFlush::Kind::Flush;
   p.reason = reason;
   p.updates = it->second.queue.take_all();
-  settle(sub, std::move(p), now, sink, stats);
+  settle(sub, p, now, sink, stats);
 }
 
 void Dyconit::flush_all(SimTime now, FlushSink& sink, Stats& stats) {

@@ -58,9 +58,8 @@ struct Stats {
 
 /// Overload-shedding directive for one subscriber (DESIGN.md §10). The
 /// host's overload controller installs these before a flush round; they
-/// are consulted inside take_due on both the serial and the sharded path,
-/// so shed work is a pure function of the queue contents and identical
-/// for any thread count.
+/// are applied inside flush_due before the due check, so shed work is a
+/// pure function of the queue contents.
 struct ShedDirective {
   /// Drop queued entity-move updates (coalesce-key namespace 1). Safe to
   /// shed: moves carry absolute positions, so the next enqueued move for
@@ -74,16 +73,13 @@ struct ShedDirective {
   bool any() const { return shed_entity_moves || snapshot_threshold_override > 0; }
 };
 
-/// Per-subscriber shed directives, keyed by subscriber id. Read-only
-/// during a flush round (workers look directives up concurrently).
+/// Per-subscriber shed directives, keyed by subscriber id.
 using ShedDirectiveMap = std::unordered_map<SubscriberId, ShedDirective>;
 
 /// Flush work taken from one (dyconit, subscriber) queue but not yet
-/// accounted or delivered. The flush path is split in two so it can run
-/// sharded (DESIGN.md §9): Dyconit::take_due produces a PendingFlush on a
-/// worker thread (touching only that subscriber's queue), and the tick
-/// thread settles it — stats, sink — in canonical order, so counters and
-/// wire bytes match the serial oracle exactly.
+/// accounted or delivered: Dyconit takes it from the queue (applying any
+/// shed directive and the due check), then settles it into Stats and the
+/// sink.
 struct PendingFlush {
   enum class Kind : std::uint8_t {
     None = 0,      ///< nothing due
@@ -94,9 +90,8 @@ struct PendingFlush {
   FlushReason reason = FlushReason::Forced;
   std::vector<Update> updates;  ///< Flush: queue contents in enqueue order
   std::size_t dropped = 0;      ///< Snapshot: updates discarded with the queue
-  /// Updates (and weight) removed by a ShedDirective in this take. Carried
-  /// here — not accounted on the worker — so shed counters fold into Stats
-  /// on the tick thread in canonical order like everything else.
+  /// Updates (and weight) removed by a ShedDirective in this take; folded
+  /// into Stats when the flush settles.
   std::size_t shed = 0;
   double shed_weight = 0.0;
 
@@ -111,12 +106,6 @@ struct PendingFlush {
     shed_weight = 0.0;
   }
 };
-
-/// Folds one pending flush into the aggregate counters. Must run on the
-/// tick thread in canonical settle order: weight_delivered is a floating-
-/// point sum, so the summation order has to match the serial oracle
-/// exactly (FP addition is not associative).
-void account_flush(const PendingFlush& p, SimTime now, Stats& stats);
 
 /// Insertion-ordered outgoing queue with in-place coalescing.
 class SubscriberQueue {
@@ -208,31 +197,9 @@ class Dyconit {
                  std::size_t snapshot_threshold = 0,
                  const ShedDirectiveMap* shed = nullptr);
 
-  /// Phase 1 of a sharded flush (safe off the tick thread): applies `shed`,
-  /// then decides whether `sub`'s queue is due at `now` and, if so, takes
-  /// its contents. Touches only this subscriber's queue slot — no stats, no
-  /// sink, no shared state — so distinct subscribers may be taken
-  /// concurrently.
-  PendingFlush take_due(SubscriberId sub, SimTime now, std::size_t snapshot_threshold,
-                        const ShedDirective& shed = {});
-
-  /// take_due into caller-owned storage: `p` is reset (its updates vector
-  /// cleared, capacity kept) and filled in place. The capacity swap in
-  /// SubscriberQueue::take_into means a caller that reuses one PendingFlush
-  /// per shard — or per serial round — makes the flush hot path
-  /// allocation-free once capacities warm. Results are identical to
-  /// take_due.
-  void take_due_into(SubscriberId sub, SimTime now, std::size_t snapshot_threshold,
-                     const ShedDirective& shed, PendingFlush& p);
-
-  /// Phase 2 (tick thread, canonical order): accounts `p` and hands it to
-  /// the sink (deliver or request_snapshot). No-op for Kind::None.
-  void settle(SubscriberId sub, PendingFlush&& p, SimTime now, FlushSink& sink,
-              Stats& stats);
-
   /// Subscriber ids in canonical (ascending) order — the order flush work
-  /// is settled in on both the serial and the parallel path. Lazily rebuilt
-  /// after subscribe/unsubscribe; the reference is invalidated by either.
+  /// is settled in. Lazily rebuilt after subscribe/unsubscribe; the
+  /// reference is invalidated by either.
   const std::vector<SubscriberId>& sorted_subscribers() const;
 
   /// Unconditionally flushes one subscriber (no-op if queue empty).
@@ -255,14 +222,19 @@ class Dyconit {
     SubscriberQueue queue;
   };
 
-  /// Shared core of take_due / take_due_into once the Sub slot is resolved.
+  /// Applies `shed`, then decides whether the queue in `s` is due at `now`
+  /// and, if so, takes its contents into `p` (reset by the caller).
   void take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
                      const ShedDirective& shed, PendingFlush& p);
 
-  /// Canonical-order (id, slot) pairs so the serial flush loop skips the
-  /// per-pair hash lookup take_due would repeat. Slot pointers are stable
-  /// (unordered_map nodes); the cache is rebuilt with sorted_subs_ after
-  /// any subscribe/unsubscribe.
+  /// Accounts `p` and hands it to the sink (deliver or request_snapshot).
+  /// No-op for Kind::None.
+  void settle(SubscriberId sub, const PendingFlush& p, SimTime now, FlushSink& sink,
+              Stats& stats);
+
+  /// Canonical-order (id, slot) pairs so the flush loop skips a per-pair
+  /// hash lookup. Slot pointers are stable (unordered_map nodes); the cache
+  /// is rebuilt with sorted_subs_ after any subscribe/unsubscribe.
   const std::vector<std::pair<SubscriberId, Sub*>>& sorted_slots() const;
   void rebuild_sorted() const;
 
@@ -273,9 +245,9 @@ class Dyconit {
   mutable std::vector<std::pair<SubscriberId, Sub*>> sorted_slots_;
   mutable bool subs_dirty_ = true;
 
-  // Flush-round scratch (tick thread only), reused so the serial path stays
-  // allocation-free in steady state: take_scratch_ circulates update-vector
-  // capacity with the queues, views_scratch_ backs settle's borrowed views.
+  // Flush-round scratch, reused so flush_due stays allocation-free in
+  // steady state: take_scratch_ circulates update-vector capacity with the
+  // queues, views_scratch_ backs settle's borrowed views.
   PendingFlush take_scratch_;
   std::vector<FlushSink::FlushedUpdate> views_scratch_;
 };

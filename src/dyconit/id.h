@@ -35,8 +35,8 @@ struct DyconitId {
 
   constexpr bool operator==(const DyconitId&) const = default;
 
-  /// Canonical order (domain, x, z): the order flush work is settled in,
-  /// for both the serial oracle and the parallel merge phase (DESIGN.md §9).
+  /// Canonical order (domain, x, z): the order flush work is settled in
+  /// (DESIGN.md §9).
   constexpr bool operator<(const DyconitId& o) const {
     if (domain != o.domain) return domain < o.domain;
     if (x != o.x) return x < o.x;

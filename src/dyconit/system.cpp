@@ -3,18 +3,8 @@
 #include <algorithm>
 
 #include "trace/trace.h"
-#include "util/thread_pool.h"
 
 namespace dyconits::dyconit {
-
-std::size_t flush_shard_of(SubscriberId sub, std::size_t shards) {
-  if (shards <= 1) return 0;
-  std::uint64_t z = static_cast<std::uint64_t>(sub) + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  return static_cast<std::size_t>(z % shards);
-}
 
 Dyconit& DyconitSystem::get_or_create(DyconitId id, Bounds default_bounds) {
   auto it = dyconits_.find(id);
@@ -100,97 +90,12 @@ const ShedDirective* DyconitSystem::shed_directive(SubscriberId sub) const {
   return it == shed_.end() ? nullptr : &it->second;
 }
 
-void DyconitSystem::tick(FlushSink& sink) { tick(sink, nullptr, nullptr); }
-
-void DyconitSystem::tick(FlushSink& sink, util::ThreadPool* pool,
-                         ParallelFlushHost* host) {
+void DyconitSystem::tick(FlushSink& sink) {
+  TRACE_SCOPE("dyconit.flush_due");
   const SimTime now = clock_.now();
-  const std::size_t shards =
-      (pool != nullptr && host != nullptr) ? pool->concurrency() : 1;
-
   const ShedDirectiveMap* shed = shed_.empty() ? nullptr : &shed_;
-
-  if (shards <= 1) {
-    TRACE_SCOPE("dyconit.flush_due");
-    for (Dyconit* d : sorted_dyconits()) {
-      d->flush_due(now, sink, stats_, snapshot_threshold_, shed);
-    }
-    gc();
-    return;
-  }
-
-  // Phase 1 (workers): every (dyconit, subscriber) pair is checked and, if
-  // due, taken and packed into shard-local staging. A pair's shard is a
-  // pure function of the subscriber id, so no two shards ever touch the
-  // same subscriber's queue or session, and sessions/stats stay read-only.
-  plan_.clear();
   for (Dyconit* d : sorted_dyconits()) {
-    for (const SubscriberId sub : d->sorted_subscribers()) {
-      plan_.push_back({d, sub});
-    }
-  }
-  results_.resize(plan_.size());
-  host->begin_flush_round(shards);
-  {
-    TRACE_SCOPE("dyconit.flush_workers");
-    pool->run_shards([&](std::size_t shard) {
-      TRACE_SCOPE("dyconit.flush_shard");
-      static const ShedDirective kNoShed;
-      std::vector<FlushSink::FlushedUpdate> views;
-      for (std::size_t i = 0; i < plan_.size(); ++i) {
-        if (flush_shard_of(plan_[i].sub, shards) != shard) continue;
-        FlushResult& r = results_[i];
-        const ShedDirective* dir = &kNoShed;
-        if (shed != nullptr) {
-          const auto it = shed->find(plan_[i].sub);
-          if (it != shed->end()) dir = &it->second;
-        }
-        plan_[i].d->take_due_into(plan_[i].sub, now, snapshot_threshold_, *dir,
-                                  r.pending);
-        r.shard = static_cast<std::uint32_t>(shard);
-        r.handle = 0;
-        if (r.pending.kind == PendingFlush::Kind::Flush) {
-          views.clear();
-          views.reserve(r.pending.updates.size());
-          for (const Update& u : r.pending.updates) {
-            views.push_back({&u.msg, u.created, u.weight});
-          }
-          r.handle = host->pack_flush(shard, plan_[i].sub, views);
-        }
-      }
-    });
-  }
-
-  // Phase 2 (tick thread): settle in canonical order — the exact order the
-  // serial oracle uses — so stats (including the non-associative
-  // weight_delivered sum) and the wire byte stream are identical.
-  {
-    TRACE_SCOPE("dyconit.flush_merge");
-    for (std::size_t i = 0; i < plan_.size(); ++i) {
-      FlushResult& r = results_[i];
-      // Shed counters fold in before the kind switch, mirroring settle():
-      // canonical order keeps the shed_weight FP sum oracle-identical.
-      if (r.pending.shed > 0) {
-        stats_.shed_updates += r.pending.shed;
-        stats_.shed_weight += r.pending.shed_weight;
-      }
-      switch (r.pending.kind) {
-        case PendingFlush::Kind::None:
-          break;
-        case PendingFlush::Kind::Snapshot:
-          stats_.dropped_snapshot += r.pending.dropped;
-          ++stats_.snapshots_requested;
-          sink.request_snapshot(plan_[i].sub, plan_[i].d->id());
-          break;
-        case PendingFlush::Kind::Flush:
-          account_flush(r.pending, now, stats_);
-          host->emit_packed(r.shard, r.handle, plan_[i].sub);
-          break;
-      }
-      // Destroy the updates (their messages own heap) but keep the vector's
-      // capacity — the worker writing results_[i] next round recycles it.
-      r.pending.reset();
-    }
+    d->flush_due(now, sink, stats_, snapshot_threshold_, shed);
   }
   gc();
 }

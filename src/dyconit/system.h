@@ -8,7 +8,6 @@
 // enforcement, coalescing — is internal.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -17,43 +16,7 @@
 #include "dyconit/dyconit.h"
 #include "util/sim_time.h"
 
-namespace dyconits::util {
-class ThreadPool;
-}
-
 namespace dyconits::dyconit {
-
-/// Server-side half of the parallel flush pipeline (DESIGN.md §9). Workers
-/// call pack_flush concurrently — one call per due (dyconit, subscriber)
-/// pair, staging serialized frames shard-locally and reading shared server
-/// state only — and the tick thread then calls emit_packed in canonical
-/// order to stamp sequence numbers and put the staged frames on the wire.
-/// The split keeps net/session types out of the dyconit layer and keeps
-/// every shared-state mutation on the tick thread.
-class ParallelFlushHost {
- public:
-  virtual ~ParallelFlushHost() = default;
-
-  /// Tick thread, before workers start: size per-shard staging for a round.
-  virtual void begin_flush_round(std::size_t shards) = 0;
-
-  /// Worker context: packs one flushed batch into shard `shard`'s staging
-  /// and returns a handle for emit_packed. Must not write anything outside
-  /// that shard's staging.
-  virtual std::uint32_t pack_flush(
-      std::size_t shard, SubscriberId to,
-      const std::vector<FlushSink::FlushedUpdate>& updates) = 0;
-
-  /// Tick thread, canonical order: sends the frames staged under `handle`.
-  virtual void emit_packed(std::size_t shard, std::uint32_t handle,
-                           SubscriberId to) = 0;
-};
-
-/// Deterministic shard assignment for a subscriber's flush work: a
-/// splitmix64 finalizer over the id, mod `shards`. Never std::hash — its
-/// value is implementation-defined and the shard function is part of the
-/// determinism contract (DESIGN.md §9).
-std::size_t flush_shard_of(SubscriberId sub, std::size_t shards);
 
 class DyconitSystem {
  public:
@@ -82,15 +45,6 @@ class DyconitSystem {
   /// order, then garbage-collects dyconits with no subscribers.
   void tick(FlushSink& sink);
 
-  /// The same tick, sharded (DESIGN.md §9): flush work is partitioned by
-  /// flush_shard_of(subscriber) across `pool`; workers take due queues and
-  /// pack frames into `host`'s per-shard staging, then the calling thread
-  /// merges — stats accounting and frame emission — in the same canonical
-  /// order the serial path uses, so wire bytes and counters are identical
-  /// byte for byte. Falls back to the serial path when pool/host is null or
-  /// the pool has one executor.
-  void tick(FlushSink& sink, util::ThreadPool* pool, ParallelFlushHost* host);
-
   /// Forced full flush (server shutdown, snapshot, tests).
   void flush_all(FlushSink& sink);
   /// Forced flush of everything owed to one subscriber.
@@ -115,8 +69,8 @@ class DyconitSystem {
   std::size_t snapshot_threshold() const { return snapshot_threshold_; }
 
   /// Overload control (DESIGN.md §10): installs the shed directive applied
-  /// to every queue owed to `sub` at subsequent tick()s (both serial and
-  /// sharded paths), until cleared. A directive with any()==false clears.
+  /// to every queue owed to `sub` at subsequent tick()s, until cleared. A
+  /// directive with any()==false clears.
   void set_shed_directive(SubscriberId sub, ShedDirective d);
   void clear_shed_directives() { shed_.clear(); }
   /// The directive for `sub`, or nullptr if none installed.
@@ -136,27 +90,10 @@ class DyconitSystem {
   std::unordered_map<DyconitId, std::unique_ptr<Dyconit>> dyconits_;
   Stats stats_;
   std::size_t snapshot_threshold_ = 0;
-  /// Read-only during a flush round; workers look directives up
-  /// concurrently, the tick thread mutates between rounds.
   ShedDirectiveMap shed_;
 
   mutable std::vector<Dyconit*> sorted_cache_;
   mutable bool dyconits_dirty_ = true;
-
-  // Parallel-tick scratch, reused across rounds to avoid steady-state
-  // allocation. plan_ lists due-check work in canonical order; results_[i]
-  // is written by exactly one worker (the shard owning plan_[i].sub).
-  struct FlushTask {
-    Dyconit* d = nullptr;
-    SubscriberId sub = kNoSubscriber;
-  };
-  struct FlushResult {
-    PendingFlush pending;
-    std::uint32_t handle = 0;
-    std::uint32_t shard = 0;
-  };
-  std::vector<FlushTask> plan_;
-  std::vector<FlushResult> results_;
 };
 
 }  // namespace dyconits::dyconit

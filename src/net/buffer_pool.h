@@ -53,7 +53,7 @@ class BufferPool {
   static constexpr std::size_t kMinCapacity = 16;
 
  private:
-  mutable std::mutex mu_;  // encode runs on flush workers concurrently
+  mutable std::mutex mu_;  // process-wide: any thread may acquire/release
   std::vector<std::vector<std::uint8_t>> free_;
   Stats stats_;
 };

@@ -154,20 +154,11 @@ void FaultInjectingTransport::corrupt_frame(Frame& frame) {
 }
 
 void FaultInjectingTransport::mix_decision(EndpointId to, const Frame& f, std::uint8_t bits) {
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-  std::uint64_t h = decision_hash_;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ (v & 0xffu)) * kFnvPrime;
-      v >>= 8;
-    }
-  };
-  mix(to);
-  mix(f.tag);
-  mix(f.seq);
-  mix(f.wire_size());
-  mix(bits);
-  decision_hash_ = h;
+  decision_hash_.u64(to);
+  decision_hash_.u64(f.tag);
+  decision_hash_.u64(f.seq);
+  decision_hash_.u64(f.wire_size());
+  decision_hash_.u64(bits);
   ++frames_offered_;
 }
 

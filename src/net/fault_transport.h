@@ -87,7 +87,7 @@ class FaultInjectingTransport final : public Transport {
 
   // -- Introspection (tests, e16, the e2e-chaos-udp determinism check) --
   /// Order-sensitive digest of every fault decision made so far.
-  std::uint64_t decision_hash() const { return decision_hash_; }
+  std::uint64_t decision_hash() const { return decision_hash_.value(); }
   /// Frames offered to send() (including refused/dropped ones).
   std::uint64_t frames_offered() const { return frames_offered_; }
   /// Frames currently held back by a reorder decision.
@@ -134,7 +134,7 @@ class FaultInjectingTransport final : public Transport {
   std::unordered_map<EndpointId, std::uint64_t> congested_frames_;
   std::uint64_t injected_send_failures_ = 0;
 
-  std::uint64_t decision_hash_ = 14695981039346656037ull;  // FNV-1a basis
+  Fnv1a decision_hash_;
   std::uint64_t frames_offered_ = 0;
 };
 

@@ -270,23 +270,12 @@ bool SimNetwork::send(EndpointId from, EndpointId to, Frame frame) {
   total_frames_ += 1;
 
   // Wire digest: hash what the sender put on the wire (pre-corruption), in
-  // send order. Proves byte-identical traffic across flush-thread counts.
-  {
-    constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-    std::uint64_t h = wire_hash_;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xffu)) * kFnvPrime;
-        v >>= 8;
-      }
-    };
-    mix(from);
-    mix(to);
-    mix(frame.tag);
-    mix(frame.seq);
-    for (const std::uint8_t b : frame.payload) h = (h ^ b) * kFnvPrime;
-    wire_hash_ = h;
-  }
+  // send order. Equal hashes mean byte-identical traffic in the same order.
+  wire_hash_.u64(from);
+  wire_hash_.u64(to);
+  wire_hash_.u64(frame.tag);
+  wire_hash_.u64(frame.seq);
+  wire_hash_.bytes(frame.payload.data(), frame.payload.size());
 
   if (lost) {
     // The sender cannot tell; only the receiver's ledger records the loss.

@@ -116,8 +116,8 @@ class SimNetwork final : public Transport {
   /// (from, to, tag, seq, payload — pre-corruption, including frames the
   /// fault layer later loses; refused sends excluded). Two runs emitted
   /// byte-identical traffic in the same order iff their hashes match —
-  /// the oracle check behind the parallel flush pipeline (DESIGN.md §9).
-  std::uint64_t wire_hash() const { return wire_hash_; }
+  /// the check behind seeded replay and the golden wire (DESIGN.md §9).
+  std::uint64_t wire_hash() const { return wire_hash_.value(); }
 
   /// Frames that got on the wire addressed to `id` (delivered, lost, or in
   /// flight; duplicate copies not counted). Conservation, per endpoint
@@ -215,7 +215,7 @@ class SimNetwork final : public Transport {
   std::uint64_t total_dropped_frames_ = 0;
   std::uint64_t total_dropped_bytes_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t wire_hash_ = 14695981039346656037ull;  // FNV-1a offset basis
+  Fnv1a wire_hash_;
 };
 
 }  // namespace dyconits::net

@@ -159,6 +159,30 @@ class Transport {
   }
 };
 
+/// Byte-wise 64-bit FNV-1a. Every order-sensitive digest in the net layer
+/// (WireHasher, SimNetwork::wire_hash, FaultInjectingTransport's decision
+/// hash) is built from this one definition.
+class Fnv1a {
+ public:
+  void byte(std::uint8_t b) { h_ = (h_ ^ b) * kPrime; }
+  /// All eight bytes of `v`, least significant first.
+  void u64(std::uint64_t v) {
+    std::uint64_t h = h_;
+    for (int i = 0; i < 8; ++i, v >>= 8) h = (h ^ (v & 0xffu)) * kPrime;
+    h_ = h;
+  }
+  void bytes(const std::uint8_t* p, std::size_t n) {
+    std::uint64_t h = h_;  // local copy: the input bytes may alias h_
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kPrime;
+    h_ = h;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t h_ = 14695981039346656037ull;  // offset basis
+};
+
 /// Order-sensitive FNV-1a digest over (tag, payload-length, payload) of
 /// every frame mixed in — computed ABOVE the transport, before seq stamping
 /// and fragmentation, so the same application byte stream hashes equally
@@ -168,10 +192,9 @@ class Transport {
 class WireHasher {
  public:
   void mix(std::uint8_t tag, const std::uint8_t* payload, std::size_t n) {
-    mix_byte(tag);
-    std::uint64_t len = n;
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(len >> (8 * i)));
-    for (std::size_t i = 0; i < n; ++i) mix_byte(payload[i]);
+    hash_.byte(tag);
+    hash_.u64(n);
+    hash_.bytes(payload, n);
     ++frames_;
   }
   void mix(std::uint8_t tag, const std::vector<std::uint8_t>& payload) {
@@ -179,15 +202,11 @@ class WireHasher {
   }
   void mix(const Frame& f) { mix(f.tag, f.payload); }
 
-  std::uint64_t value() const { return hash_; }
+  std::uint64_t value() const { return hash_.value(); }
   std::uint64_t frames() const { return frames_; }
 
  private:
-  void mix_byte(std::uint8_t b) {
-    hash_ ^= b;
-    hash_ *= 1099511628211ull;
-  }
-  std::uint64_t hash_ = 14695981039346656037ull;  // FNV-1a offset basis
+  Fnv1a hash_;
   std::uint64_t frames_ = 0;
 };
 

@@ -300,6 +300,15 @@ void UdpTransport::pump(int timeout_ms) {
     if (n < 0) break;  // EAGAIN: drained
     ++stats_.datagrams_received;
     stats_.datagram_bytes_received += static_cast<std::uint64_t>(n);
+    // Only a datagram of a known kind may register a new source address:
+    // empty or garbage datagrams from strangers cost no peer state.
+    const bool known_kind =
+        n > 0 && (buf[0] == kData || buf[0] == kFragment || buf[0] == kKeepalive ||
+                  buf[0] == kBye);
+    if (!known_kind && !by_addr_.count(addr_key(src.sin_addr.s_addr, src.sin_port))) {
+      ++stats_.malformed_datagrams;
+      continue;
+    }
     const EndpointId from = peer_by_addr(src.sin_addr.s_addr, src.sin_port);
     Peer& p = peers_.at(from);
     p.last_heard = wall_now();

@@ -109,6 +109,8 @@ class UdpTransport final : public Transport {
   void close_abruptly();
 
   const UdpStats& stats() const { return stats_; }
+  /// Remote peers registered so far (alive or not; peers are never erased).
+  std::size_t peer_count() const { return peers_.size(); }
 
   // -- Transport --
   EndpointId create_endpoint(std::string name) override;

@@ -37,13 +37,6 @@ struct ServerConfig {
   /// Chunk streaming throttle: ChunkData frames per player per tick.
   int max_chunk_sends_per_tick = 24;
 
-  /// Parallel flush pipeline (DESIGN.md §9): executors for the dyconit
-  /// flush/serialize phase, including the tick thread. 1 (default) is the
-  /// serial oracle; N > 1 shards flush work by subscriber hash across a
-  /// persistent thread pool, with wire output byte-identical to 1 for the
-  /// same seed. Ignored when use_dyconits is false.
-  std::size_t flush_threads = 1;
-
   /// Reject client moves longer than this per message (anti-teleport).
   double max_move_per_message = 12.0;
 
@@ -86,8 +79,8 @@ struct ServerConfig {
   /// simulation: with it in the loop, a slow host (or a sanitizer build)
   /// can push the director over its tick-pressure threshold and change
   /// what goes on the wire. Setting this makes policy decisions — and
-  /// therefore wire bytes — a pure function of simulation state, which the
-  /// differential determinism suite requires (DESIGN.md §9). Reported tick
+  /// therefore wire bytes — a pure function of simulation state, which
+  /// seeded replay requires (DESIGN.md §9). Reported tick
   /// CPU metrics (tick_cpu_ms) always remain the real measurement.
   bool deterministic_load = false;
 

@@ -27,9 +27,6 @@ world::Vec3 default_spawn(const std::string&) { return {8.5, 40.0, 8.5}; }
 // per-chunk MultiBlockChange (a single change stays BlockChange), anything
 // else passed through in order. Each frame's origin is the oldest
 // constituent update, so measured latency is the worst case in the batch.
-// Shared by the serial deliver() path and the parallel pack_flush() stage
-// (DESIGN.md §9): both invoke emit(msg, origin) in the exact same sequence,
-// which is what makes the staged frames byte-identical to the serial ones.
 template <typename Emit>
 void pack_update_batch(const std::vector<dyconit::FlushSink::FlushedUpdate>& updates,
                        Emit&& emit) {
@@ -102,14 +99,9 @@ GameServer::GameServer(SimClock& clock, net::Transport& net, world::World& world
     profiler_.add_phase(phase);
   }
   for (const char* nested :
-       {"server.serialize_send", "dyconit.enqueue", "dyconit.flush_due",
-        "dyconit.flush_workers", "dyconit.flush_merge", "dyconit.gc", "net.send",
-        "net.poll"}) {
+       {"server.serialize_send", "dyconit.enqueue", "dyconit.flush_due", "dyconit.gc",
+        "net.send", "net.poll"}) {
     profiler_.add_phase(nested, trace::TickProfiler::PhaseKind::Nested);
-  }
-
-  if (cfg_.use_dyconits && cfg_.flush_threads > 1) {
-    flush_pool_ = std::make_unique<util::ThreadPool>(cfg_.flush_threads);
   }
 
   // Overload self-calibration: with uplink_bytes_per_second configured, the
@@ -755,7 +747,7 @@ void GameServer::rebuild_subscriptions() {
 
 void GameServer::flush_dyconits() {
   TRACE_SCOPE("server.dyconit_flush");
-  dyconits_.tick(*this, flush_pool_.get(), flush_pool_ != nullptr ? this : nullptr);
+  dyconits_.tick(*this);
 }
 
 void GameServer::deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) {
@@ -764,82 +756,6 @@ void GameServer::deliver(SubscriberId to, const std::vector<FlushedUpdate>& upda
   pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
     send_or_queue(*s, m, origin);
   });
-}
-
-void GameServer::begin_flush_round(std::size_t shards) {
-  if (stages_.size() != shards) stages_.resize(shards);
-  for (ShardStage& stage : stages_) {
-    stage.frames.clear();
-    stage.msgs.clear();
-    stage.batches.clear();
-  }
-}
-
-std::uint32_t GameServer::pack_flush(std::size_t shard, SubscriberId to,
-                                     const std::vector<FlushedUpdate>& updates) {
-  // Worker context: read-only on sessions_ (concurrent lookups are safe —
-  // nothing mutates the session table during the flush phase); all writes
-  // go to this shard's staging only.
-  ShardStage& stage = stages_[shard];
-  const auto handle = static_cast<std::uint32_t>(stage.batches.size());
-  StagedBatch batch;
-  Session* s = session_of(to);
-  // Backlogged subscribers (or ones still draining staged frames) must go
-  // through the egress-queue gate, which coalesces at the message level —
-  // so their batches are staged unencoded. The backlog flag and queue
-  // emptiness are stable for the whole flush round, so every batch of a
-  // subscriber makes the same choice, and it matches what the serial
-  // oracle's send_or_queue would decide at settle time.
-  batch.deferred = s != nullptr && cfg_.overload.enabled &&
-                   (s->backlogged || !s->egress.empty());
-  if (batch.deferred) {
-    batch.begin = static_cast<std::uint32_t>(stage.msgs.size());
-    pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-      stage.msgs.push_back({m, origin});
-    });
-    batch.end = static_cast<std::uint32_t>(stage.msgs.size());
-  } else {
-    batch.begin = static_cast<std::uint32_t>(stage.frames.size());
-    if (s != nullptr) {
-      pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-        TRACE_SCOPE("server.serialize_send");
-        stage.frames.push_back({protocol::encode(m), origin});
-      });
-    }
-    batch.end = static_cast<std::uint32_t>(stage.frames.size());
-  }
-  stage.batches.push_back(batch);
-  return handle;
-}
-
-void GameServer::emit_packed(std::size_t shard, std::uint32_t handle, SubscriberId to) {
-  Session* s = session_of(to);
-  const StagedBatch batch = stages_[shard].batches[handle];
-  if (batch.deferred) {
-    // Canonical-order merge on the tick thread: route through the same
-    // gate the serial deliver() uses, so queue contents (and therefore
-    // every later wire byte) match the serial oracle exactly.
-    for (std::uint32_t i = batch.begin; i < batch.end && s != nullptr; ++i) {
-      StagedMsg& m = stages_[shard].msgs[i];
-      send_or_queue(*s, m.msg, m.origin);
-    }
-    return;
-  }
-  for (std::uint32_t i = batch.begin; i < batch.end; ++i) {
-    StagedFrame& f = stages_[shard].frames[i];
-    if (s == nullptr) {
-      // Mirrors deliver()'s null-session no-op; recycle the staged payload
-      // instead of letting the next begin_flush_round free it.
-      net::BufferPool::instance().release(std::move(f.frame.payload));
-      continue;
-    }
-    // Seq is stamped here, not at pack time, so it counts frames in
-    // canonical wire order exactly as the serial send_to path does.
-    if (cfg_.hash_streams) s->egress_hash.mix(f.frame);
-    f.frame.seq = ++s->out_seq;
-    f.frame.trace_origin = f.origin;
-    net_.send(endpoint_, s->endpoint, std::move(f.frame));
-  }
 }
 
 // ------------------------------------------------------------------- items
@@ -1029,8 +945,7 @@ void GameServer::tick_overload() {
 
   // Recompute backlog flags once per tick, then drain recovered
   // subscribers in ascending id order. The flag stays fixed for the rest
-  // of the tick, so the serial and sharded flush paths (whose workers read
-  // it concurrently) make identical divert decisions.
+  // of the tick, so every flush in the tick makes the same divert decision.
   std::vector<SubscriberId> ids;
   ids.reserve(sessions_.size());
   for (auto& [id, s] : sessions_) ids.push_back(id);

@@ -26,14 +26,13 @@
 #include "trace/tick_profiler.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "world/world.h"
 
 namespace dyconits::server {
 
 using dyconit::SubscriberId;
 
-class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlushHost {
+class GameServer final : public dyconit::FlushSink {
  public:
   /// `policy` may be null only when cfg.use_dyconits is false. `net` is any
   /// Transport backend: the SimNetwork oracle in-process, UdpTransport for
@@ -60,12 +59,6 @@ class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlus
   // -- FlushSink --
   void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override;
   void request_snapshot(SubscriberId to, const dyconit::DyconitId& unit) override;
-
-  // -- ParallelFlushHost (DESIGN.md §9) --
-  void begin_flush_round(std::size_t shards) override;
-  std::uint32_t pack_flush(std::size_t shard, SubscriberId to,
-                           const std::vector<FlushedUpdate>& updates) override;
-  void emit_packed(std::size_t shard, std::uint32_t handle, SubscriberId to) override;
 
   // -- introspection --
   std::size_t player_count() const { return sessions_.size(); }
@@ -195,8 +188,7 @@ class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlus
     EgressQueue egress;
     /// Transport inbox + staged bytes above the backlog threshold this
     /// tick. Recomputed once per tick (tick_overload) so the divert
-    /// decision is stable across the whole tick — including the parallel
-    /// flush round, where workers read it concurrently.
+    /// decision is stable across the whole tick.
     bool backlogged = false;
     /// The egress queue had to drop an order-critical frame; the replica
     /// cannot be repaired incrementally, so the session is disconnected at
@@ -269,8 +261,7 @@ class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlus
   void announce_spawn(const entity::Entity& e);
 
   // -- sending --
-  /// Flushes due dyconit queues through the serial path (flush_threads <=
-  /// 1) or the sharded pipeline; both produce byte-identical wire output.
+  /// Flushes due dyconit queues; deliver() packs each batch onto the wire.
   void flush_dyconits();
   void send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin = {});
   /// The overload-aware send gate every session-directed message goes
@@ -359,37 +350,6 @@ class GameServer final : public dyconit::FlushSink, public dyconit::ParallelFlus
   };
   std::vector<Mob> mobs_;
   Rng mob_rng_{1};
-
-  /// Parallel flush staging (DESIGN.md §9): workers serialize flushed
-  /// batches into their shard's stage; the tick thread emits them in
-  /// canonical order. Frames staged without sequence numbers — the seq is
-  /// stamped at emit time so it reflects canonical wire order. Capacity is
-  /// kept across rounds; alignment avoids false sharing between shards.
-  struct StagedFrame {
-    net::Frame frame;
-    SimTime origin;
-  };
-  /// A flushed update staged *unencoded* because its subscriber is
-  /// backlogged: at emit time it goes through the egress-queue gate (which
-  /// coalesces at the message level) instead of straight onto the wire.
-  /// The backlog flag is stable for the whole tick, so workers and the
-  /// serial oracle make identical divert decisions.
-  struct StagedMsg {
-    protocol::AnyMessage msg;
-    SimTime origin;
-  };
-  struct StagedBatch {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-    bool deferred = false;  // indexes msgs (true) or frames (false)
-  };
-  struct alignas(64) ShardStage {
-    std::vector<StagedFrame> frames;
-    std::vector<StagedMsg> msgs;
-    std::vector<StagedBatch> batches;
-  };
-  std::vector<ShardStage> stages_;
-  std::unique_ptr<util::ThreadPool> flush_pool_;  // null when flush_threads <= 1
 
   struct DroppedItem {
     entity::EntityId id = entity::kInvalidEntity;

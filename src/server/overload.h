@@ -13,8 +13,8 @@
 //
 //  * DegradationLadder — a deterministic rung state machine driven by the
 //    modeled tick cost (a pure function of sim state under
-//    ServerConfig::deterministic_load, so runs replay byte-identically for
-//    any --threads): Normal → WidenBounds → ShedLowPriority → DeferChunks
+//    ServerConfig::deterministic_load, so runs replay byte-identically
+//    from a seed): Normal → WidenBounds → ShedLowPriority → DeferChunks
 //    → Disconnect, with engage/release hysteresis.
 //
 // The GameServer owns both and wires them into its tick; nothing here

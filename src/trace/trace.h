@@ -16,18 +16,17 @@
 //   - active: two steady_clock reads plus a lock-free ring-buffer store
 //     and/or a memoized profiler lookup; no allocation on the hot path.
 //
-// Thread-safety (DESIGN.md §9): spans may be emitted from any thread.
+// Thread-safety: spans may be emitted from any thread.
 // Each thread records into its own ring buffer, registered on first use,
 // so the emission hot path takes no locks; snapshot() merges the
 // per-thread rings into one wall-clock-ordered stream, and every record
 // carries the tid of the thread that emitted it. Control operations
 // (start/stop recording, clear, set_profiler, set_tick, set_sim_clock,
 // snapshot) belong to the tick thread and must not run concurrently with
-// span emission — the simulation upholds this because worker threads only
-// run inside ThreadPool::run_shards, which the tick thread awaits. The
-// installed TickProfiler observes spans only from the thread that
-// installed it; worker spans go to the rings alone, so per-phase tick
-// accounting stays single-threaded.
+// span emission from other threads; a caller that spawns threads joins
+// them before snapshotting. The installed TickProfiler observes spans only
+// from the thread that installed it; other threads' spans go to the rings
+// alone, so per-phase tick accounting stays single-threaded.
 //
 // Names must be string literals (records store the pointer, never copy).
 #pragma once
@@ -98,8 +97,8 @@ class Tracer {
   void set_tick(std::uint64_t tick) { tick_.store(tick, std::memory_order_relaxed); }
 
   /// Profiler observing completed spans (may be null). Only spans emitted
-  /// by the installing thread are observed — worker-thread spans never feed
-  /// the tick profiler. See ProfilerScope for the RAII install/restore
+  /// by the installing thread are observed — other threads' spans never
+  /// feed the tick profiler. See ProfilerScope for the RAII install/restore
   /// helper.
   void set_profiler(TickProfiler* p);
   TickProfiler* profiler() const { return profiler_.load(std::memory_order_relaxed); }

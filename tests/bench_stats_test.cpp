@@ -241,6 +241,29 @@ TEST(GateReports, MissingMetricFailsUnlessAllowed) {
   EXPECT_TRUE(gate_reports(base, cand, allow, findings));
 }
 
+TEST(GateReports, BenchMissingFromCandidateFailsUnlessAllowed) {
+  auto base = one_bench_baseline();
+  MultiRunReport dropped;
+  dropped.bench = "e13_overload";
+  dropped.metrics = {{"tick_on_p95_ms.x1", sum_of({3, 3, 3})},
+                     {"cap_violations.x1", sum_of({0, 0, 0})}};
+  base.push_back(dropped);
+  const auto cand = one_bench_baseline();  // never ran e13_overload
+  std::vector<GateFinding> findings;
+  EXPECT_FALSE(gate_reports(base, cand, {}, findings));
+  GateOptions allow;
+  allow.allow_missing = true;
+  findings.clear();
+  EXPECT_TRUE(gate_reports(base, cand, allow, findings));
+  std::size_t missing = 0;
+  for (const auto& f : findings) {
+    if (f.note.find("missing") == std::string::npos) continue;
+    EXPECT_EQ(f.bench, "e13_overload");
+    ++missing;
+  }
+  EXPECT_EQ(missing, 2u);
+}
+
 TEST(GateReports, NewMetricIsNotedNotFailed) {
   const auto base = one_bench_baseline();
   auto cand = base;

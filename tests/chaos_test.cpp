@@ -23,15 +23,6 @@ std::uint64_t chaos_seed() {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42ull;
 }
 
-/// Flush-pipeline threads (DYCONITS_CHAOS_THREADS, default 1): the TSan
-/// stage of scripts/verify.sh re-runs this whole suite with the sharded
-/// flush path on — every invariant here must hold under faults regardless
-/// of thread count (DESIGN.md §9).
-std::size_t chaos_threads() {
-  const char* env = std::getenv("DYCONITS_CHAOS_THREADS");
-  return env != nullptr ? static_cast<std::size_t>(std::strtoull(env, nullptr, 10)) : 1;
-}
-
 SimulationConfig chaos_config(std::size_t players = 5) {
   SimulationConfig cfg;
   cfg.players = players;
@@ -46,7 +37,6 @@ SimulationConfig chaos_config(std::size_t players = 5) {
   cfg.joins_per_tick = 10;
   cfg.keep_chunk_replica = true;
   cfg.warmup = SimDuration::seconds(5);
-  cfg.flush_threads = chaos_threads();
   return cfg;
 }
 

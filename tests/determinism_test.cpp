@@ -1,27 +1,23 @@
-// Differential determinism suite (DESIGN.md §9): the parallel flush /
-// serialize pipeline must be *byte-identical* to the single-threaded
-// oracle. Every run here drives the full stack (server + bots + simulated
-// network) from a fixed seed and compares, across --threads values:
+// Determinism suite (DESIGN.md §9): a run is a pure function of its seed
+// and configuration. Every run here drives the full stack (server + bots +
+// simulated network) from a fixed seed and checks:
 //
-//   - the network's order-sensitive wire hash (every frame that got on the
-//     wire: from, to, tag, seq, payload — see SimNetwork::wire_hash),
-//   - a final-state digest (entities, edited ground-truth chunks, wire
-//     totals),
-//   - the middleware's full Stats ledger, including the FP-sensitive
-//     weight_delivered accumulator (equal iff accounting ran in the same
-//     order), and per-dyconit end-state counters.
+//   - seeded replay: the hardest scenarios (resyncs under loss, the
+//     overload ladder) run twice from one seed and must agree on
+//     everything — the network's order-sensitive wire hash (every frame
+//     that got on the wire: from, to, tag, seq, payload — see
+//     SimNetwork::wire_hash), a final-state digest (entities, edited
+//     ground-truth chunks, wire totals), the middleware's full Stats
+//     ledger including the FP-sensitive weight_delivered accumulator, and
+//     per-dyconit end-state counters;
+//   - the golden serial wire: a committed baseline pins the wire stream
+//     over time, so a behavior change anywhere in the update path shows up
+//     as a readable diff (first divergent tick + which byte family moved).
+//     Regenerate deliberately with scripts/rebaseline.sh.
 //
-// Knobs (all optional, for scripts/verify.sh and local soak):
-//   DYCONITS_DET_SEED=N    run only seed N instead of the built-in matrix
-//   DYCONITS_DET_SEEDS=K   run only the first K seeds of the matrix
-//   DYCONITS_DET_TICKS=N   measured ticks per run (default 1000)
+// Knobs (all optional, for local soak and rebaselining):
+//   DYCONITS_DET_TICKS=N   cap on measured ticks per replay run
 //   DYCONITS_REBASELINE=1  rewrite the golden serial baseline and skip
-//
-// The GoldenRun baseline pins the *serial* wire stream over time, so a
-// behavior change anywhere in the update path shows up as a readable diff
-// (first divergent tick + which byte family moved) rather than a silent
-// re-agreement between serial and parallel. Regenerate deliberately with
-// scripts/rebaseline.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,12 +30,9 @@
 #include <vector>
 
 #include "bots/simulation.h"
-#include "dyconit/system.h"
 
 namespace dyconits::bots {
 namespace {
-
-constexpr std::uint64_t kSeedMatrix[] = {42, 7, 1337, 2024, 99};
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* env = std::getenv(name);
@@ -50,20 +43,10 @@ std::size_t det_ticks() {
   return static_cast<std::size_t>(env_u64("DYCONITS_DET_TICKS", 1000));
 }
 
-std::vector<std::uint64_t> det_seeds() {
-  const char* one = std::getenv("DYCONITS_DET_SEED");
-  if (one != nullptr) return {std::strtoull(one, nullptr, 10)};
-  std::size_t n = static_cast<std::size_t>(
-      env_u64("DYCONITS_DET_SEEDS", std::size(kSeedMatrix)));
-  n = std::min(n, std::size(kSeedMatrix));
-  return {std::begin(kSeedMatrix), std::begin(kSeedMatrix) + n};
-}
-
 /// E2-style workload: a village hotspot, NPC mobs, environmental block
 /// ticks, staggered joins — enough cross-dyconit traffic that any ordering
-/// bug in the sharded flush shows up in the wire stream.
-SimulationConfig det_config(std::uint64_t seed, std::size_t threads,
-                            std::size_t ticks) {
+/// slip in the flush path shows up in the wire stream.
+SimulationConfig det_config(std::uint64_t seed, std::size_t ticks) {
   SimulationConfig cfg;
   cfg.players = 16;
   cfg.policy = "director";
@@ -78,10 +61,9 @@ SimulationConfig det_config(std::uint64_t seed, std::size_t threads,
   cfg.warmup = SimDuration::seconds(5);
   // run() executes duration / tick_interval ticks total (warmup included).
   cfg.duration = cfg.warmup + SimDuration::millis(static_cast<std::int64_t>(ticks) * 50);
-  cfg.flush_threads = threads;
   // The director's load input must be the modeled tick cost: with measured
-  // wall clock in the loop, a slow host (e.g. a TSan build on one core)
-  // crosses the tick-pressure threshold differently per thread count and
+  // wall clock in the loop, a slow host (e.g. a sanitizer build) crosses
+  // the tick-pressure threshold differently from run to run and
   // legitimately changes the wire bytes. Byte-identity is only defined over
   // deterministic inputs (DESIGN.md §9).
   cfg.deterministic_load = true;
@@ -128,7 +110,7 @@ std::uint64_t world_digest(Simulation& sim) {
   return fnv_mix(h, chunks);
 }
 
-/// Everything a run must reproduce exactly, regardless of thread count.
+/// Everything a run must reproduce exactly from its seed.
 struct RunDigest {
   std::uint64_t wire_hash = 0;
   std::uint64_t world = 0;
@@ -138,7 +120,7 @@ struct RunDigest {
   std::uint64_t resyncs_served = 0;
 
   // Middleware ledger; weight_delivered is FP and therefore only equal when
-  // flush accounting ran in the exact same order as the oracle.
+  // flush accounting ran in the exact same order.
   dyconit::Stats stats;
 
   // Per-dyconit end state, in canonical id order.
@@ -150,9 +132,7 @@ struct RunDigest {
   std::vector<DyconitRow> dyconits;
 };
 
-RunDigest run_digest(std::uint64_t seed, std::size_t threads, std::size_t ticks) {
-  Simulation sim(det_config(seed, threads, ticks));
-  sim.run();
+RunDigest digest_of(Simulation& sim) {
   RunDigest d;
   d.wire_hash = sim.network().wire_hash();
   d.world = world_digest(sim);
@@ -171,16 +151,16 @@ RunDigest run_digest(std::uint64_t seed, std::size_t threads, std::size_t ticks)
   return d;
 }
 
-void expect_same_run(const RunDigest& oracle, const RunDigest& got,
+void expect_same_run(const RunDigest& want, const RunDigest& got,
                      const std::string& label) {
-  EXPECT_EQ(oracle.wire_hash, got.wire_hash) << label << ": wire bytes diverged";
-  EXPECT_EQ(oracle.world, got.world) << label << ": final world state diverged";
-  EXPECT_EQ(oracle.total_bytes, got.total_bytes) << label;
-  EXPECT_EQ(oracle.total_frames, got.total_frames) << label;
-  EXPECT_EQ(oracle.server_egress_bytes, got.server_egress_bytes) << label;
-  EXPECT_EQ(oracle.resyncs_served, got.resyncs_served) << label;
+  EXPECT_EQ(want.wire_hash, got.wire_hash) << label << ": wire bytes diverged";
+  EXPECT_EQ(want.world, got.world) << label << ": final world state diverged";
+  EXPECT_EQ(want.total_bytes, got.total_bytes) << label;
+  EXPECT_EQ(want.total_frames, got.total_frames) << label;
+  EXPECT_EQ(want.server_egress_bytes, got.server_egress_bytes) << label;
+  EXPECT_EQ(want.resyncs_served, got.resyncs_served) << label;
 
-  const dyconit::Stats& a = oracle.stats;
+  const dyconit::Stats& a = want.stats;
   const dyconit::Stats& b = got.stats;
   EXPECT_EQ(a.enqueued, b.enqueued) << label;
   EXPECT_EQ(a.coalesced, b.coalesced) << label;
@@ -197,44 +177,25 @@ void expect_same_run(const RunDigest& oracle, const RunDigest& got,
   EXPECT_EQ(a.weight_delivered, b.weight_delivered)
       << label << ": flush accounting order diverged";
 
-  ASSERT_EQ(oracle.dyconits.size(), got.dyconits.size()) << label;
-  for (std::size_t i = 0; i < oracle.dyconits.size(); ++i) {
-    EXPECT_EQ(oracle.dyconits[i].id, got.dyconits[i].id) << label;
-    EXPECT_EQ(oracle.dyconits[i].subscribers, got.dyconits[i].subscribers)
-        << label << " " << oracle.dyconits[i].id;
-    EXPECT_EQ(oracle.dyconits[i].queued, got.dyconits[i].queued)
-        << label << " " << oracle.dyconits[i].id;
+  ASSERT_EQ(want.dyconits.size(), got.dyconits.size()) << label;
+  for (std::size_t i = 0; i < want.dyconits.size(); ++i) {
+    EXPECT_EQ(want.dyconits[i].id, got.dyconits[i].id) << label;
+    EXPECT_EQ(want.dyconits[i].subscribers, got.dyconits[i].subscribers)
+        << label << " " << want.dyconits[i].id;
+    EXPECT_EQ(want.dyconits[i].queued, got.dyconits[i].queued)
+        << label << " " << want.dyconits[i].id;
   }
 }
 
-// ------------------------------------------------- threads-vs-oracle matrix
+// ----------------------------------------------------- resync mid-run
 
-TEST(ParallelFlush, MatchesSerialOracleAcrossThreadCounts) {
-  const std::size_t ticks = det_ticks();
-  for (const std::uint64_t seed : det_seeds()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunDigest oracle = run_digest(seed, 1, ticks);
-    // Non-trivial run or the comparison proves nothing.
-    ASSERT_GT(oracle.stats.delivered, 0u);
-    ASSERT_GT(oracle.total_frames, 0u);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      const RunDigest got = run_digest(seed, threads, ticks);
-      expect_same_run(oracle, got,
-                      "seed " + std::to_string(seed) + " threads " +
-                          std::to_string(threads));
-    }
-  }
-}
-
-// ----------------------------------------------------- resync mid-tick
-
-/// Resyncs requested while flush work is sharded across workers must still
-/// be served in canonical order: snapshot streams ride the same wire as
-/// regular flushes, so any ordering slip breaks byte-identity.
-TEST(ParallelFlush, ResyncMidRunDrainsCanonically) {
+/// Resyncs requested mid-run must be served in canonical order: snapshot
+/// streams ride the same wire as regular flushes, so any ordering slip
+/// breaks replay.
+TEST(SeededReplay, ResyncMidRunReplaysIdentically) {
   const std::size_t ticks = std::min<std::size_t>(det_ticks(), 600);
-  auto run_with_resyncs = [&](std::size_t threads) {
-    SimulationConfig cfg = det_config(7, threads, ticks);
+  auto run_with_resyncs = [&] {
+    SimulationConfig cfg = det_config(7, ticks);
     cfg.faults.link.loss = 0.03;  // lost frames → gap detection → resyncs too
     Simulation sim(cfg);
     std::uint64_t tick_no = 0;
@@ -246,26 +207,12 @@ TEST(ParallelFlush, ResyncMidRunDrainsCanonically) {
       }
     });
     sim.run();
-    RunDigest d;
-    d.wire_hash = sim.network().wire_hash();
-    d.world = world_digest(sim);
-    d.total_frames = sim.network().total_frames();
-    d.resyncs_served = sim.server().resyncs_served();
-    d.stats = sim.server().dyconit_stats();
-    return d;
+    return digest_of(sim);
   };
 
-  const RunDigest oracle = run_with_resyncs(1);
-  ASSERT_GT(oracle.resyncs_served, 0u) << "scenario never exercised resync";
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const RunDigest got = run_with_resyncs(threads);
-    const std::string label = "threads " + std::to_string(threads);
-    EXPECT_EQ(oracle.wire_hash, got.wire_hash) << label;
-    EXPECT_EQ(oracle.world, got.world) << label;
-    EXPECT_EQ(oracle.total_frames, got.total_frames) << label;
-    EXPECT_EQ(oracle.resyncs_served, got.resyncs_served) << label;
-    EXPECT_EQ(oracle.stats.weight_delivered, got.stats.weight_delivered) << label;
-  }
+  const RunDigest first = run_with_resyncs();
+  ASSERT_GT(first.resyncs_served, 0u) << "scenario never exercised resync";
+  expect_same_run(first, run_with_resyncs(), "resync rerun");
 }
 
 // ----------------------------------------------------- overload ladder
@@ -273,9 +220,9 @@ TEST(ParallelFlush, ResyncMidRunDrainsCanonically) {
 /// The degradation ladder (DESIGN.md §10) is part of the determinism
 /// contract: every rung decision is a pure function of the modeled tick
 /// cost, so an overloaded run — queues coalescing, bounds widening, chunks
-/// deferring, a worst offender kicked — must replay byte-identically across
-/// thread counts, transition for transition.
-TEST(ParallelFlush, OverloadLadderMatchesSerialOracleAcrossThreads) {
+/// deferring, a worst offender kicked — must replay byte-identically from
+/// its seed, transition for transition.
+TEST(SeededReplay, OverloadLadderReplaysIdentically) {
   const std::size_t ticks = std::min<std::size_t>(det_ticks(), 800);
 
   struct RungCheckpoint {
@@ -290,8 +237,8 @@ TEST(ParallelFlush, OverloadLadderMatchesSerialOracleAcrossThreads) {
     int final_rung = 0;
   };
 
-  auto run_ladder = [&](std::size_t threads) {
-    SimulationConfig cfg = det_config(1337, threads, ticks);
+  auto run_ladder = [&] {
+    SimulationConfig cfg = det_config(1337, ticks);
     cfg.server_egress_rate = 192 * 1024;  // constrained uplink
     cfg.overload.enabled = true;
     // Engage on uplink saturation, not CPU exhaustion (the modeled cost at
@@ -320,63 +267,26 @@ TEST(ParallelFlush, OverloadLadderMatchesSerialOracleAcrossThreads) {
       }
     });
     sim.run();
-    d.run.wire_hash = sim.network().wire_hash();
-    d.run.world = world_digest(sim);
-    d.run.total_frames = sim.network().total_frames();
-    d.run.total_bytes = sim.network().total_bytes();
-    d.run.stats = sim.server().dyconit_stats();
+    d.run = digest_of(sim);
     d.transitions = sim.server().overload_stats().ladder_transitions;
     d.final_rung = sim.server().overload_rung();
     return d;
   };
 
-  const LadderDigest oracle = run_ladder(1);
-  ASSERT_GT(oracle.transitions, 0u) << "scenario never engaged the ladder";
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const std::string label = "threads " + std::to_string(threads);
-    const LadderDigest got = run_ladder(threads);
-    EXPECT_EQ(oracle.run.wire_hash, got.run.wire_hash) << label;
-    EXPECT_EQ(oracle.run.world, got.run.world) << label;
-    EXPECT_EQ(oracle.run.total_frames, got.run.total_frames) << label;
-    EXPECT_EQ(oracle.run.total_bytes, got.run.total_bytes) << label;
-    EXPECT_EQ(oracle.run.stats.weight_delivered, got.run.stats.weight_delivered)
-        << label;
-    EXPECT_EQ(oracle.transitions, got.transitions) << label;
-    EXPECT_EQ(oracle.final_rung, got.final_rung) << label;
-    // Transition-for-transition: same rung at the same tick with the same
-    // bytes on the wire at that instant.
-    ASSERT_EQ(oracle.rungs.size(), got.rungs.size()) << label;
-    for (std::size_t i = 0; i < oracle.rungs.size(); ++i) {
-      EXPECT_EQ(oracle.rungs[i].tick, got.rungs[i].tick) << label << " #" << i;
-      EXPECT_EQ(oracle.rungs[i].rung, got.rungs[i].rung) << label << " #" << i;
-      EXPECT_EQ(oracle.rungs[i].wire_hash, got.rungs[i].wire_hash)
-          << label << " #" << i << " (wire diverged before this transition)";
-    }
-  }
-}
-
-// ----------------------------------------------------- shard function
-
-TEST(ParallelFlush, ShardFunctionIsStableAndCoversAllShards) {
-  // Pinned values: the shard assignment is part of no determinism contract
-  // (any assignment merges back into canonical order), but changing it
-  // silently would reshuffle which thread does what — make that a
-  // deliberate, visible change.
-  EXPECT_EQ(dyconit::flush_shard_of(1, 4), dyconit::flush_shard_of(1, 4));
-  EXPECT_EQ(dyconit::flush_shard_of(0, 1), 0u);
-  EXPECT_EQ(dyconit::flush_shard_of(12345, 1), 0u);
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    std::vector<std::size_t> hits(shards, 0);
-    for (std::uint64_t sub = 0; sub < 1000; ++sub) {
-      const std::size_t s = dyconit::flush_shard_of(sub, shards);
-      ASSERT_LT(s, shards);
-      hits[s] += 1;
-    }
-    // splitmix64 scrambles dense ids well: every shard gets meaningful work.
-    for (std::size_t s = 0; s < shards; ++s) {
-      EXPECT_GT(hits[s], 1000 / shards / 2) << "shard " << s << " of " << shards;
-    }
+  const LadderDigest first = run_ladder();
+  ASSERT_GT(first.transitions, 0u) << "scenario never engaged the ladder";
+  const LadderDigest got = run_ladder();
+  expect_same_run(first.run, got.run, "ladder rerun");
+  EXPECT_EQ(first.transitions, got.transitions);
+  EXPECT_EQ(first.final_rung, got.final_rung);
+  // Transition-for-transition: same rung at the same tick with the same
+  // bytes on the wire at that instant.
+  ASSERT_EQ(first.rungs.size(), got.rungs.size());
+  for (std::size_t i = 0; i < first.rungs.size(); ++i) {
+    EXPECT_EQ(first.rungs[i].tick, got.rungs[i].tick) << "#" << i;
+    EXPECT_EQ(first.rungs[i].rung, got.rungs[i].rung) << "#" << i;
+    EXPECT_EQ(first.rungs[i].wire_hash, got.rungs[i].wire_hash)
+        << "#" << i << " (wire diverged before this transition)";
   }
 }
 
@@ -397,7 +307,7 @@ constexpr std::uint64_t kGoldenTicks = 600;
 constexpr std::uint64_t kGoldenEvery = 25;
 
 std::vector<Checkpoint> golden_run() {
-  Simulation sim(det_config(kGoldenSeed, 1, kGoldenTicks));
+  Simulation sim(det_config(kGoldenSeed, kGoldenTicks));
   const auto server = sim.server().endpoint();
   auto family = [&](protocol::MessageType a, protocol::MessageType b) {
     std::uint64_t n = sim.network().egress_bytes_by_tag(

@@ -324,8 +324,7 @@ std::size_t overload_ticks() {
 
 /// Saturating-load scenario shared by the acceptance and admission tests:
 /// a constrained uplink, one stalled client, a spam burst, a flash crowd.
-SimulationConfig overload_config(std::uint64_t seed, std::size_t threads,
-                                 std::size_t ticks) {
+SimulationConfig overload_config(std::uint64_t seed, std::size_t ticks) {
   SimulationConfig cfg;
   cfg.players = 12;
   cfg.policy = "director";
@@ -340,7 +339,6 @@ SimulationConfig overload_config(std::uint64_t seed, std::size_t threads,
   cfg.warmup = SimDuration::seconds(5);
   cfg.duration =
       cfg.warmup + SimDuration::millis(static_cast<std::int64_t>(ticks) * 50);
-  cfg.flush_threads = threads;
   cfg.deterministic_load = true;
   cfg.server_egress_rate = 128 * 1024;
 
@@ -379,8 +377,8 @@ struct AcceptanceOutcome {
   int final_rung = 0;
 };
 
-AcceptanceOutcome run_acceptance(std::size_t threads, std::size_t ticks) {
-  const SimulationConfig cfg = overload_config(1337, threads, ticks);
+AcceptanceOutcome run_acceptance(std::size_t ticks) {
+  const SimulationConfig cfg = overload_config(1337, ticks);
   Simulation sim(cfg);
   AcceptanceOutcome out;
   const std::size_t cap = cfg.overload.queue_cap_bytes;
@@ -436,38 +434,56 @@ AcceptanceOutcome run_acceptance(std::size_t threads, std::size_t ticks) {
 
 TEST(OverloadAcceptance, SaturatingLoadTenThousandTicks) {
   const std::size_t ticks = overload_ticks();
-  const AcceptanceOutcome oracle = run_acceptance(1, ticks);
+  const AcceptanceOutcome first = run_acceptance(ticks);
 
   // The scenario must actually overload the server...
-  ASSERT_TRUE(oracle.engaged) << "ladder never engaged: scenario proves nothing"
-                              << " (peak modeled cost " << oracle.max_cost_us
-                              << "us, ticks over engage " << oracle.ticks_over_engage << ")";
-  EXPECT_GT(oracle.stats.egress_queued, 0u);
-  EXPECT_GT(oracle.stats.egress_coalesced, 0u);
+  ASSERT_TRUE(first.engaged) << "ladder never engaged: scenario proves nothing"
+                             << " (peak modeled cost " << first.max_cost_us
+                             << "us, ticks over engage " << first.ticks_over_engage << ")";
+  EXPECT_GT(first.stats.egress_queued, 0u);
+  EXPECT_GT(first.stats.egress_coalesced, 0u);
   // ...and the controller must hold its invariants while overloaded.
-  EXPECT_EQ(oracle.cap_violations, 0u) << "a per-subscriber queue exceeded the cap";
+  EXPECT_EQ(first.cap_violations, 0u) << "a per-subscriber queue exceeded the cap";
   // Sustained-cost criterion: once the ladder has acted, the modeled tick
   // cost must be pinned within 2x the engage budget. Isolated spikes (a
   // kicked player rejoining re-streams its chunks) are permitted; sustained
   // excursions are not.
-  ASSERT_GT(oracle.cost_checked, 0u);
-  EXPECT_LE(oracle.cost_violations, oracle.cost_checked / 100)
+  ASSERT_GT(first.cost_checked, 0u);
+  EXPECT_LE(first.cost_violations, first.cost_checked / 100)
       << "modeled tick cost left 2x the engage budget after the ladder acted ("
-      << oracle.cost_violations << "/" << oracle.cost_checked << " ticks)";
-  EXPECT_EQ(oracle.bound_violations, 0u)
+      << first.cost_violations << "/" << first.cost_checked << " ticks)";
+  EXPECT_EQ(first.bound_violations, 0u)
       << "a connected subscriber's bounds were violated after shedding stabilized";
-  EXPECT_LE(oracle.stats.peak_queue_bytes,
-            overload_config(1337, 1, ticks).overload.queue_cap_bytes);
+  EXPECT_LE(first.stats.peak_queue_bytes,
+            overload_config(1337, ticks).overload.queue_cap_bytes);
 
-  // Byte-identical replay across the flush-thread matrix (DESIGN.md §9):
-  // every ladder decision is a pure function of simulated state.
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const AcceptanceOutcome got = run_acceptance(threads, ticks);
-    EXPECT_EQ(oracle.wire_hash, got.wire_hash) << "threads " << threads;
-    EXPECT_EQ(oracle.stats.ladder_transitions, got.stats.ladder_transitions)
-        << "threads " << threads;
-    EXPECT_EQ(oracle.final_rung, got.final_rung) << "threads " << threads;
-  }
+  // Byte-identical replay from the seed (DESIGN.md §9): every ladder
+  // decision is a pure function of simulated state, so a rerun agrees on
+  // the wire, every overload counter and every invariant tally.
+  const AcceptanceOutcome got = run_acceptance(ticks);
+  EXPECT_EQ(first.wire_hash, got.wire_hash);
+  EXPECT_EQ(first.cap_violations, got.cap_violations);
+  EXPECT_EQ(first.cost_violations, got.cost_violations);
+  EXPECT_EQ(first.cost_checked, got.cost_checked);
+  EXPECT_EQ(first.bound_violations, got.bound_violations);
+  EXPECT_EQ(first.max_cost_us, got.max_cost_us);
+  EXPECT_EQ(first.ticks_over_engage, got.ticks_over_engage);
+  EXPECT_EQ(first.engaged, got.engaged);
+  EXPECT_EQ(first.final_rung, got.final_rung);
+  const server::OverloadStats& a = first.stats;
+  const server::OverloadStats& b = got.stats;
+  EXPECT_EQ(a.egress_queued, b.egress_queued);
+  EXPECT_EQ(a.egress_coalesced, b.egress_coalesced);
+  EXPECT_EQ(a.egress_drained, b.egress_drained);
+  EXPECT_EQ(a.egress_evicted_moves, b.egress_evicted_moves);
+  EXPECT_EQ(a.egress_dropped_moves, b.egress_dropped_moves);
+  EXPECT_EQ(a.egress_dropped_ordered, b.egress_dropped_ordered);
+  EXPECT_EQ(a.egress_dropped_disconnect, b.egress_dropped_disconnect);
+  EXPECT_EQ(a.chunks_deferred, b.chunks_deferred);
+  EXPECT_EQ(a.joins_refused, b.joins_refused);
+  EXPECT_EQ(a.overload_disconnects, b.overload_disconnects);
+  EXPECT_EQ(a.ladder_transitions, b.ladder_transitions);
+  EXPECT_EQ(a.peak_queue_bytes, b.peak_queue_bytes);
 }
 
 // ------------------------------------------------------------- admission
@@ -475,7 +491,7 @@ TEST(OverloadAcceptance, SaturatingLoadTenThousandTicks) {
 TEST(OverloadAdmission, RefusesAtRungAndBotsRetryWithBackoff) {
   // Ladder pinned high: near-zero engage threshold and no release, so the
   // flash crowd arrives strictly after the refusal rung is reached.
-  SimulationConfig cfg = overload_config(7, 1, 600);
+  SimulationConfig cfg = overload_config(7, 600);
   cfg.overload.budget_engage = 1e-9;
   cfg.overload.budget_release = 0.0;  // ratio is never negative: no release
   cfg.overload.engage_ticks = 2;
@@ -519,7 +535,7 @@ TEST(OverloadAdmission, RefusesAtRungAndBotsRetryWithBackoff) {
 }
 
 TEST(OverloadAdmission, RefuseRungZeroNeverRefuses) {
-  SimulationConfig cfg = overload_config(7, 1, 400);
+  SimulationConfig cfg = overload_config(7, 400);
   cfg.overload.budget_engage = 1e-9;
   cfg.overload.budget_release = 0.0;
   cfg.overload.engage_ticks = 2;

@@ -17,7 +17,6 @@
 #include "trace/export.h"
 #include "trace/tick_profiler.h"
 #include "trace/trace.h"
-#include "util/thread_pool.h"
 
 namespace dyconits::trace {
 namespace {
@@ -281,14 +280,18 @@ TEST_F(TraceTest, WorkerThreadSpansMergeWithoutCorruption) {
   t.start_recording(1 << 12);
   constexpr std::size_t kShards = 4;
   constexpr int kSpansPerShard = 50;
+  const auto emit = [] {
+    for (int i = 0; i < kSpansPerShard; ++i) {
+      TRACE_SCOPE("test.worker");
+    }
+  };
   {
     TRACE_SCOPE("test.main");
-    util::ThreadPool pool(kShards);
-    pool.run_shards([](std::size_t) {
-      for (int i = 0; i < kSpansPerShard; ++i) {
-        TRACE_SCOPE("test.worker");
-      }
-    });
+    // The calling thread is shard 0; the other shards run concurrently.
+    std::vector<std::thread> workers;
+    for (std::size_t shard = 1; shard < kShards; ++shard) workers.emplace_back(emit);
+    emit();
+    for (std::thread& w : workers) w.join();
   }
   const auto records = t.snapshot();
   // Every span from every executor survives: nothing lost, nothing torn.
@@ -330,13 +333,11 @@ TEST_F(TraceTest, ProfilerOnlyObservesInstallingThreadSpans) {
     }
     // A worker emitting the same phase name for much longer must not feed
     // the profiler: per-phase tick accounting is the tick thread's story.
-    util::ThreadPool pool(2);
-    pool.run_shards([](std::size_t shard) {
-      if (shard == 1) {
-        TRACE_SCOPE("test.phase");
-        busy_spin_ns(3'000'000);
-      }
+    std::thread worker([] {
+      TRACE_SCOPE("test.phase");
+      busy_spin_ns(3'000'000);
     });
+    worker.join();
   }
   p.end_tick(0.001);
   const auto r = p.report();

@@ -2,7 +2,11 @@
 // (framing, fragmentation, reassembly), damaged-datagram handling feeding
 // the application's sequence-gap detection, and real-socket smoke tests for
 // UdpTransport (skipped where sockets are unavailable).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
@@ -271,6 +275,75 @@ TEST(UdpTransportTest, IdleTimeoutDisconnects) {
   EXPECT_EQ(lo.a->stats().idle_disconnects, 1u);
 
   for (auto& d : got) net::BufferPool::instance().release(std::move(d.frame.payload));
+}
+
+TEST(UdpTransportTest, StrangerGarbageAllocatesNoPeer) {
+  Loopback lo;
+  if (!lo.ok()) GTEST_SKIP() << "no usable UDP sockets: " << lo.a->error();
+
+  // A live session first: a learns b from b's first frame.
+  ASSERT_TRUE(lo.b->send(lo.b_local, lo.b_to_a, make_frame(5, 1, 8)));
+  lo.b->flush_egress();
+  std::vector<net::Delivery> got;
+  for (int spins = 0; spins < 2000 && got.empty(); ++spins) {
+    lo.a->pump(/*timeout_ms=*/5);
+    got = lo.a->poll(lo.a_local);
+  }
+  ASSERT_EQ(got.size(), 1u);
+  const net::EndpointId b_peer = got[0].from;
+  const std::size_t peers = lo.a->peer_count();
+  const std::uint64_t malformed0 = lo.a->stats().malformed_datagrams;
+
+  // Empty and unknown-kind datagrams, each stranger on a fresh socket (so a
+  // fresh source address).
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(lo.a->local_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  constexpr int kStrangers = 4;
+  const std::uint8_t unknown_kinds[kStrangers] = {0x00, 0x05, 0xEE, 0x7F};
+  const auto* dst = reinterpret_cast<const sockaddr*>(&to);
+  for (int i = 0; i < kStrangers; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(fd, 0);
+    const std::uint8_t dgram[2] = {unknown_kinds[i], 0x01};
+    EXPECT_EQ(::sendto(fd, dgram, 0, 0, dst, sizeof(to)), 0);
+    EXPECT_EQ(::sendto(fd, dgram, 1, 0, dst, sizeof(to)), 1);
+    EXPECT_EQ(::sendto(fd, dgram, 2, 0, dst, sizeof(to)), 2);
+    ::close(fd);
+  }
+  const std::uint64_t want = malformed0 + 3 * kStrangers;
+  for (int spins = 0; spins < 2000 && lo.a->stats().malformed_datagrams < want; ++spins) {
+    lo.a->pump(/*timeout_ms=*/5);
+  }
+  EXPECT_EQ(lo.a->stats().malformed_datagrams, want);
+  EXPECT_EQ(lo.a->peer_count(), peers) << "a stranger's garbage registered a peer";
+
+  // The live session is undisturbed: frames still flow both ways.
+  ASSERT_TRUE(lo.b->send(lo.b_local, lo.b_to_a, make_frame(7, 2, 16)));
+  lo.b->flush_egress();
+  std::vector<net::Delivery> more;
+  for (int spins = 0; spins < 2000 && more.empty(); ++spins) {
+    lo.a->pump(/*timeout_ms=*/5);
+    more = lo.a->poll(lo.a_local);
+  }
+  ASSERT_EQ(more.size(), 1u);
+  EXPECT_EQ(more[0].from, b_peer);
+  EXPECT_EQ(more[0].frame.seq, 2u);
+  EXPECT_TRUE(lo.a->connected(lo.a_local, b_peer));
+  ASSERT_TRUE(lo.a->send(lo.a_local, b_peer, make_frame(6, 1, 8)));
+  lo.a->flush_egress();
+  std::vector<net::Delivery> back;
+  for (int spins = 0; spins < 2000 && back.empty(); ++spins) {
+    lo.b->pump(/*timeout_ms=*/5);
+    back = lo.b->poll(lo.b_local);
+  }
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].frame.tag, 6);
+
+  for (auto* ds : {&got, &more, &back}) {
+    for (auto& d : *ds) net::BufferPool::instance().release(std::move(d.frame.payload));
+  }
 }
 
 // -- FaultInjectingTransport (DESIGN.md §13): the seeded fault decorator --
