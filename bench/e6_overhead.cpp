@@ -102,6 +102,32 @@ void BM_FlushCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_FlushCycle)->Arg(1)->Arg(16)->Arg(128);
 
+/// One tick of a mostly idle system: N idle subscriptions (50 per dyconit,
+/// infinite bounds, nothing queued) plus 64 updates to one hot zero-bound
+/// subscription. The flush round visits only pending queues, so ns/tick
+/// should stay flat as N grows from 1k to 100k.
+void BM_TickMostlyIdle(benchmark::State& state) {
+  const auto idle = static_cast<std::int32_t>(state.range(0));
+  constexpr std::int32_t kSubsPerDyconit = 50;
+  SimClock clock;
+  DyconitSystem sys(clock);
+  NullSink sink;
+  for (std::int32_t i = 0; i < idle; ++i) {
+    sys.subscribe(DyconitId::chunk_entities({i / kSubsPerDyconit, 0}),
+                  static_cast<dyconit::SubscriberId>(i % kSubsPerDyconit + 1),
+                  Bounds::infinite());
+  }
+  const auto hot = DyconitId::chunk_entities({-1, -1});
+  sys.subscribe(hot, 1, Bounds::zero());
+  sys.tick(sink);  // settle the set-up's GC checks
+  for (auto _ : state) {
+    for (std::uint32_t e = 1; e <= 64; ++e) sys.update(hot, make_update(e, clock.now()));
+    sys.tick(sink);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TickMostlyIdle)->Arg(1000)->Arg(10000)->Arg(100000);
+
 /// The vanilla unit of work one enqueue replaces: serialize the message
 /// into a frame. (Compare items/s with BM_EnqueueFanout/1.)
 void BM_VanillaSerialize(benchmark::State& state) {

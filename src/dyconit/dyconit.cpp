@@ -67,21 +67,21 @@ void SubscriberQueue::drop_all() {
 }
 
 std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
-  if (updates_.empty()) return 0;
-  std::size_t removed = 0;
+  // Compacts survivors to the front in place: the queue keeps its storage,
+  // so shedding every tick while the ladder sits at Shed allocates nothing.
+  std::size_t kept = 0;
   double removed_weight = 0.0;
-  std::vector<Update> kept;
-  kept.reserve(updates_.size());
-  for (Update& u : updates_) {
-    if ((u.coalesce_key >> 56) == 1) {
-      ++removed;
-      removed_weight += u.weight;
+  for (std::size_t i = 0; i < updates_.size(); ++i) {
+    if ((updates_[i].coalesce_key >> 56) == 1) {
+      removed_weight += updates_[i].weight;
     } else {
-      kept.push_back(std::move(u));
+      if (kept != i) updates_[kept] = std::move(updates_[i]);
+      ++kept;
     }
   }
+  const std::size_t removed = updates_.size() - kept;
   if (removed == 0) return 0;
-  updates_ = std::move(kept);
+  updates_.erase(updates_.begin() + static_cast<std::ptrdiff_t>(kept), updates_.end());
   by_key_.clear();
   for (std::size_t i = 0; i < updates_.size(); ++i) {
     if (updates_[i].coalesce_key != 0) by_key_.emplace(updates_[i].coalesce_key, i);
@@ -99,37 +99,29 @@ void Dyconit::subscribe(SubscriberId sub, Bounds b) {
   subs_dirty_ = true;
 }
 
-void Dyconit::unsubscribe(SubscriberId sub, Stats& stats) {
+bool Dyconit::unsubscribe(SubscriberId sub, Stats& stats) {
   const auto it = subs_.find(sub);
-  if (it == subs_.end()) return;
+  if (it == subs_.end()) return false;
   stats.dropped_unsubscribe += it->second.queue.size();
+  if (it->second.pending) {
+    // A resubscribe creates a fresh Sub with pending=false; drop the id so
+    // the list never holds it twice.
+    pending_.erase(std::find(pending_.begin(), pending_.end(), sub));
+  }
   subs_.erase(it);
   subs_dirty_ = true;
-}
-
-void Dyconit::rebuild_sorted() const {
-  sorted_slots_.clear();
-  sorted_slots_.reserve(subs_.size());
-  for (auto& [sub, s] : const_cast<std::unordered_map<SubscriberId, Sub>&>(subs_)) {
-    sorted_slots_.push_back({sub, &s});
-  }
-  std::sort(sorted_slots_.begin(), sorted_slots_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  sorted_subs_.clear();
-  sorted_subs_.reserve(sorted_slots_.size());
-  for (const auto& [sub, s] : sorted_slots_) sorted_subs_.push_back(sub);
-  subs_dirty_ = false;
+  return true;
 }
 
 const std::vector<SubscriberId>& Dyconit::sorted_subscribers() const {
-  if (subs_dirty_) rebuild_sorted();
+  if (subs_dirty_) {
+    sorted_subs_.clear();
+    sorted_subs_.reserve(subs_.size());
+    for (const auto& [sub, s] : subs_) sorted_subs_.push_back(sub);
+    std::sort(sorted_subs_.begin(), sorted_subs_.end());
+    subs_dirty_ = false;
+  }
   return sorted_subs_;
-}
-
-const std::vector<std::pair<SubscriberId, Dyconit::Sub*>>& Dyconit::sorted_slots()
-    const {
-  if (subs_dirty_) rebuild_sorted();
-  return sorted_slots_;
 }
 
 void Dyconit::set_bounds(SubscriberId sub, Bounds b) {
@@ -142,16 +134,23 @@ Bounds Dyconit::bounds_of(SubscriberId sub) const {
   return it == subs_.end() ? default_bounds_ : it->second.bounds;
 }
 
-void Dyconit::enqueue(const Update& u, SubscriberId exclude, Stats& stats) {
+bool Dyconit::enqueue(const Update& u, SubscriberId exclude, Stats& stats) {
   if (subs_.empty() || (subs_.size() == 1 && subs_.count(exclude) > 0)) {
     ++stats.dropped_no_subscriber;
-    return;
+    return false;
   }
   for (auto& [sub, s] : subs_) {
     if (sub == exclude) continue;
     ++stats.enqueued;
     if (s.queue.enqueue(u)) ++stats.coalesced;
+    if (!s.pending) {
+      s.pending = true;
+      pending_.push_back(sub);
+    }
   }
+  if (scheduled_ || pending_.empty()) return false;
+  scheduled_ = true;
+  return true;
 }
 
 void Dyconit::take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
@@ -198,13 +197,19 @@ void Dyconit::settle(SubscriberId sub, const PendingFlush& p, SimTime now,
   sink.deliver(sub, flushed);
 }
 
-void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
+bool Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
                         std::size_t snapshot_threshold, const ShedDirectiveMap* shed) {
   // Canonical (ascending subscriber id) order: the wire stream and the
   // weight_delivered sum depend on it. Sink callbacks must not touch this
-  // dyconit's subscription set.
+  // dyconit's subscription set or enqueue into it. The round's ids move to
+  // round_ so that a queue still non-empty after its visit goes back onto
+  // pending_.
   static const ShedDirective kNoShed;
-  for (const auto& [sub, slot] : sorted_slots()) {
+  round_.swap(pending_);
+  std::sort(round_.begin(), round_.end());
+  for (const SubscriberId sub : round_) {
+    Sub& slot = subs_.find(sub)->second;
+    ++stats.queues_visited;
     const ShedDirective* d = &kNoShed;
     if (shed != nullptr) {
       const auto it = shed->find(sub);
@@ -215,11 +220,19 @@ void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
     // vector allocations.
     PendingFlush& p = take_scratch_;
     p.reset();
-    take_due_core(*slot, now, snapshot_threshold, *d, p);
+    take_due_core(slot, now, snapshot_threshold, *d, p);
     if (p.kind != PendingFlush::Kind::None || p.shed > 0) {
       settle(sub, p, now, sink, stats);
     }
+    if (slot.queue.empty()) {
+      slot.pending = false;
+    } else {
+      pending_.push_back(sub);
+    }
   }
+  round_.clear();
+  scheduled_ = !pending_.empty();
+  return scheduled_;
 }
 
 void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,

@@ -45,6 +45,12 @@ struct Stats {
   /// shed block backlog is converted into a snapshot request.
   std::uint64_t shed_updates = 0;
   double shed_weight = 0.0;
+  /// Work counters for the flush round (DESIGN.md §3): (dyconit,
+  /// subscriber) queues examined by flush_due, and dyconits examined by
+  /// the garbage collector. Both follow pending queues and unsubscribes,
+  /// not the number of subscriptions.
+  std::uint64_t queues_visited = 0;
+  std::uint64_t gc_checked = 0;
 
   /// When enabled (see DyconitSystem::set_record_staleness), per-update
   /// queueing delay in ms at flush time.
@@ -174,8 +180,9 @@ class Dyconit {
   void subscribe(SubscriberId sub, Bounds b);
   void subscribe(SubscriberId sub) { subscribe(sub, default_bounds_); }
 
-  /// Unsubscribes and drops any queued updates (counted in stats).
-  void unsubscribe(SubscriberId sub, Stats& stats);
+  /// Unsubscribes and drops any queued updates (counted in stats). Returns
+  /// false if `sub` was not subscribed.
+  bool unsubscribe(SubscriberId sub, Stats& stats);
 
   bool subscribed(SubscriberId sub) const { return subs_.count(sub) > 0; }
   std::size_t subscriber_count() const { return subs_.size(); }
@@ -185,17 +192,28 @@ class Dyconit {
   Bounds bounds_of(SubscriberId sub) const;
 
   /// Queues `u` toward every subscriber except `exclude` (the originator,
-  /// which already knows its own action).
-  void enqueue(const Update& u, SubscriberId exclude, Stats& stats);
+  /// which already knows its own action). Returns true when the dyconit
+  /// was not scheduled and now has pending queues: the owner must then
+  /// call flush_due on a later round (DyconitSystem keeps these on its
+  /// active list).
+  bool enqueue(const Update& u, SubscriberId exclude, Stats& stats);
 
   /// Flushes every subscriber queue that violates its bounds at `now`, in
   /// canonical (ascending subscriber id) order. If `snapshot_threshold` > 0,
   /// a queue holding more updates than that is dropped and the sink is
   /// asked for a snapshot instead. `shed` (optional) applies per-subscriber
-  /// overload directives before the due check.
-  void flush_due(SimTime now, FlushSink& sink, Stats& stats,
+  /// overload directives before the due check. Visits only the queues that
+  /// received an update since they were last seen empty; an empty queue is
+  /// never due, never snapshotted and has nothing to shed, so skipping it
+  /// changes no sink call and no Stats field. Returns scheduled(): whether
+  /// queues are still pending afterwards.
+  bool flush_due(SimTime now, FlushSink& sink, Stats& stats,
                  std::size_t snapshot_threshold = 0,
                  const ShedDirectiveMap* shed = nullptr);
+
+  /// True while some queue may be non-empty and flush_due has to visit it:
+  /// set by an enqueue that returned true, recomputed by flush_due.
+  bool scheduled() const { return scheduled_; }
 
   /// Subscriber ids in canonical (ascending) order — the order flush work
   /// is settled in. Lazily rebuilt after subscribe/unsubscribe; the
@@ -220,6 +238,7 @@ class Dyconit {
   struct Sub {
     Bounds bounds;
     SubscriberQueue queue;
+    bool pending = false;  ///< id is on pending_
   };
 
   /// Applies `shed`, then decides whether the queue in `s` is due at `now`
@@ -232,22 +251,23 @@ class Dyconit {
   void settle(SubscriberId sub, const PendingFlush& p, SimTime now, FlushSink& sink,
               Stats& stats);
 
-  /// Canonical-order (id, slot) pairs so the flush loop skips a per-pair
-  /// hash lookup. Slot pointers are stable (unordered_map nodes); the cache
-  /// is rebuilt with sorted_subs_ after any subscribe/unsubscribe.
-  const std::vector<std::pair<SubscriberId, Sub*>>& sorted_slots() const;
-  void rebuild_sorted() const;
-
   DyconitId id_;
   Bounds default_bounds_;
   std::unordered_map<SubscriberId, Sub> subs_;
   mutable std::vector<SubscriberId> sorted_subs_;
-  mutable std::vector<std::pair<SubscriberId, Sub*>> sorted_slots_;
   mutable bool subs_dirty_ = true;
 
+  /// Subscribers whose queue went from empty to non-empty since flush_due
+  /// last found it empty, in no particular order, without duplicates (the
+  /// Sub::pending flag). Unsubscribe removes the id.
+  std::vector<SubscriberId> pending_;
+  bool scheduled_ = false;
+
   // Flush-round scratch, reused so flush_due stays allocation-free in
-  // steady state: take_scratch_ circulates update-vector capacity with the
-  // queues, views_scratch_ backs settle's borrowed views.
+  // steady state: round_ holds the ids being visited, take_scratch_
+  // circulates update-vector capacity with the queues, views_scratch_
+  // backs settle's borrowed views.
+  std::vector<SubscriberId> round_;
   PendingFlush take_scratch_;
   std::vector<FlushSink::FlushedUpdate> views_scratch_;
 };

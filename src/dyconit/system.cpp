@@ -1,6 +1,7 @@
 #include "dyconit/system.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "trace/trace.h"
 
@@ -11,6 +12,7 @@ Dyconit& DyconitSystem::get_or_create(DyconitId id, Bounds default_bounds) {
   if (it != dyconits_.end()) return *it->second;
   auto [ins, _] = dyconits_.emplace(id, std::make_unique<Dyconit>(id, default_bounds));
   dyconits_dirty_ = true;
+  gc_candidates_.push_back(id);  // idle until someone subscribes
   return *ins->second;
 }
 
@@ -28,16 +30,21 @@ const std::vector<Dyconit*>& DyconitSystem::sorted_dyconits() {
 
 void DyconitSystem::gc() {
   // GC: a dyconit with no subscribers holds no queues (enqueue drops when
-  // subscriber-less), so it can be removed without losing updates.
+  // subscriber-less), so it can be removed without losing updates. A
+  // dyconit only becomes idle when it is created or loses a subscriber,
+  // and both record it as a candidate, so checking the candidates finds
+  // every idle dyconit.
   TRACE_SCOPE("dyconit.gc");
-  for (auto it = dyconits_.begin(); it != dyconits_.end();) {
-    if (it->second->idle()) {
-      it = dyconits_.erase(it);
-      dyconits_dirty_ = true;
-    } else {
-      ++it;
-    }
+  for (const DyconitId& id : gc_candidates_) {
+    const auto it = dyconits_.find(id);
+    if (it == dyconits_.end()) continue;  // duplicate, already erased
+    ++stats_.gc_checked;
+    if (!it->second->idle()) continue;
+    assert(!it->second->scheduled());
+    dyconits_.erase(it);
+    dyconits_dirty_ = true;
   }
+  gc_candidates_.clear();
 }
 
 Dyconit* DyconitSystem::find(DyconitId id) {
@@ -55,11 +62,16 @@ void DyconitSystem::subscribe(DyconitId id, SubscriberId sub, Bounds b) {
 }
 
 void DyconitSystem::unsubscribe(DyconitId id, SubscriberId sub) {
-  if (Dyconit* d = find(id)) d->unsubscribe(sub, stats_);
+  Dyconit* d = find(id);
+  if (d != nullptr && d->unsubscribe(sub, stats_) && d->idle()) {
+    gc_candidates_.push_back(id);
+  }
 }
 
 void DyconitSystem::unsubscribe_all(SubscriberId sub) {
-  for (auto& [id, d] : dyconits_) d->unsubscribe(sub, stats_);
+  for (auto& [id, d] : dyconits_) {
+    if (d->unsubscribe(sub, stats_) && d->idle()) gc_candidates_.push_back(id);
+  }
 }
 
 bool DyconitSystem::is_subscribed(DyconitId id, SubscriberId sub) const {
@@ -74,7 +86,8 @@ void DyconitSystem::set_bounds(DyconitId id, SubscriberId sub, Bounds b) {
 void DyconitSystem::update(DyconitId id, Update u, SubscriberId exclude) {
   TRACE_SCOPE("dyconit.enqueue");
   if (u.created == SimTime::zero()) u.created = clock_.now();
-  get_or_create(id).enqueue(u, exclude, stats_);
+  Dyconit& d = get_or_create(id);
+  if (d.enqueue(u, exclude, stats_)) active_.push_back(&d);
 }
 
 void DyconitSystem::set_shed_directive(SubscriberId sub, ShedDirective d) {
@@ -94,9 +107,15 @@ void DyconitSystem::tick(FlushSink& sink) {
   TRACE_SCOPE("dyconit.flush_due");
   const SimTime now = clock_.now();
   const ShedDirectiveMap* shed = shed_.empty() ? nullptr : &shed_;
-  for (Dyconit* d : sorted_dyconits()) {
-    d->flush_due(now, sink, stats_, snapshot_threshold_, shed);
+  // Visiting only scheduled dyconits in canonical order makes the same sink
+  // calls as a walk over all of them: the rest hold no queued update.
+  round_.swap(active_);
+  std::sort(round_.begin(), round_.end(),
+            [](const Dyconit* a, const Dyconit* b) { return a->id() < b->id(); });
+  for (Dyconit* d : round_) {
+    if (d->flush_due(now, sink, stats_, snapshot_threshold_, shed)) active_.push_back(d);
   }
+  round_.clear();
   gc();
 }
 

@@ -42,7 +42,10 @@ class DyconitSystem {
 
   /// One middleware tick: flushes every (dyconit, subscriber) queue that
   /// violates its bounds at clock.now() in canonical (dyconit, subscriber)
-  /// order, then garbage-collects dyconits with no subscribers.
+  /// order, then garbage-collects dyconits with no subscribers. Only
+  /// pending queues are visited and only dyconits created or unsubscribed
+  /// from since the last tick are GC-checked (DESIGN.md §3), so the cost
+  /// follows held-back updates, not subscriptions.
   void tick(FlushSink& sink);
 
   /// Forced full flush (server shutdown, snapshot, tests).
@@ -57,6 +60,9 @@ class DyconitSystem {
   /// it is provably caught up as far as the middleware is concerned.
   void resync_subscriber(SubscriberId sub, FlushSink& sink);
 
+  /// Subscriptions and updates must go through the methods above, not
+  /// through the Dyconit reference: they keep tick()'s flush schedule and
+  /// GC candidates.
   void for_each(const std::function<void(Dyconit&)>& fn);
 
   Stats& stats() { return stats_; }
@@ -84,6 +90,9 @@ class DyconitSystem {
   /// Dyconits in canonical (DyconitId::operator<) order; lazily rebuilt
   /// after create/GC. Pointers stay valid across rebuilds (unique_ptr).
   const std::vector<Dyconit*>& sorted_dyconits();
+  /// Erases the candidates that are idle. Runs right after the flush
+  /// round, when every dyconit left on active_ has a pending (so still
+  /// subscribed) subscriber; none of them is erased.
   void gc();
 
   const SimClock& clock_;
@@ -94,6 +103,14 @@ class DyconitSystem {
 
   mutable std::vector<Dyconit*> sorted_cache_;
   mutable bool dyconits_dirty_ = true;
+
+  /// Dyconits with pending queues (Dyconit::scheduled()), unordered; tick()
+  /// sorts them into canonical order. round_ is the tick's scratch.
+  std::vector<Dyconit*> active_;
+  std::vector<Dyconit*> round_;
+  /// Dyconits that may have become idle since the last gc(): created, or
+  /// lost their last subscriber. May hold duplicates and erased ids.
+  std::vector<DyconitId> gc_candidates_;
 };
 
 }  // namespace dyconits::dyconit

@@ -348,9 +348,12 @@ void UdpTransport::handle_datagram(EndpointId from, Peer& p, const std::uint8_t*
 
   switch (data[0]) {
     case kData: {
-      std::vector<Frame> frames;
-      if (!udpwire::parse_frames(data + 1, n - 1, frames)) ++stats_.malformed_datagrams;
-      for (auto& f : frames) deliver(std::move(f));
+      // Frames parsed before a malformed tail are still delivered.
+      parse_scratch_.clear();
+      if (!udpwire::parse_frames(data + 1, n - 1, parse_scratch_)) {
+        ++stats_.malformed_datagrams;
+      }
+      for (auto& f : parse_scratch_) deliver(std::move(f));
       break;
     }
     case kFragment: {

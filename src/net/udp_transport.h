@@ -186,6 +186,7 @@ class UdpTransport final : public Transport {
   std::unordered_map<std::uint64_t, EndpointId> by_addr_;  // (ip<<16)|port
 
   std::vector<Delivery> inbox_;  // arrival order, drained by poll(local)
+  std::vector<Frame> parse_scratch_;  // one Data datagram's frames; keeps capacity
   UdpStats stats_;
 };
 

@@ -135,6 +135,53 @@ TEST(SubscriberQueueTest, PreservesEnqueueOrder) {
   EXPECT_EQ(std::get<EntityMove>(taken[4].msg).id, 5u);
 }
 
+TEST(SubscriberQueueTest, ShedEntityMovesCompactsSurvivors) {
+  SubscriberQueue q;
+  const auto block = [](std::int32_t x, double w) {
+    Update u;
+    u.msg = EntityMove{0, {static_cast<double>(x), 0, 0}, 0, 0};
+    u.weight = w;
+    u.coalesce_key = coalesce_key_block({x, 64, 0});
+    return u;
+  };
+  q.enqueue(move_update(1, 1, 0.5, SimTime(0)));
+  q.enqueue(block(10, 1.0));
+  q.enqueue(move_update(2, 2, 0.25, SimTime(0)));
+  q.enqueue(block(11, 2.0));
+  Update unkeyed = block(12, 4.0);
+  unkeyed.coalesce_key = 0;
+  q.enqueue(unkeyed);
+
+  double shed_weight = 0.0;
+  EXPECT_EQ(q.shed_entity_moves(&shed_weight), 2u);
+  EXPECT_DOUBLE_EQ(shed_weight, 0.75);
+  EXPECT_DOUBLE_EQ(q.total_weight(), 7.0);
+  // Survivors keep their order.
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_DOUBLE_EQ(std::get<EntityMove>(q.peek()[0].msg).pos.x, 10.0);
+  EXPECT_DOUBLE_EQ(std::get<EntityMove>(q.peek()[1].msg).pos.x, 11.0);
+  EXPECT_DOUBLE_EQ(std::get<EntityMove>(q.peek()[2].msg).pos.x, 12.0);
+
+  // A surviving key still coalesces into its (moved) slot ...
+  Update again = block(11, 1.0);
+  again.msg = EntityMove{0, {99, 0, 0}, 0, 0};
+  EXPECT_TRUE(q.enqueue(again));
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_DOUBLE_EQ(std::get<EntityMove>(q.peek()[1].msg).pos.x, 99.0);
+  EXPECT_DOUBLE_EQ(q.peek()[1].weight, 3.0);
+  // ... and a shed key appends as a fresh entry.
+  EXPECT_FALSE(q.enqueue(move_update(1, 7, 0.5, SimTime(1))));
+  ASSERT_EQ(q.size(), 4u);
+  EXPECT_EQ(std::get<EntityMove>(q.peek()[3].msg).id, 1u);
+  EXPECT_DOUBLE_EQ(q.total_weight(), 8.5);
+
+  // Nothing left to shed is a no-op.
+  double none = 0.0;
+  EXPECT_EQ(q.shed_entity_moves(&none), 1u);  // the move just appended
+  EXPECT_EQ(q.shed_entity_moves(&none), 0u);
+  EXPECT_EQ(q.size(), 3u);
+}
+
 // ----------------------------------------------------------------- Dyconit
 
 class DyconitTest : public ::testing::Test {
@@ -402,6 +449,72 @@ TEST_F(SystemTest, SetBoundsAffectsFlushDecision) {
   sys_.set_bounds(id, 1, Bounds::zero());
   sys_.tick(sink_);
   EXPECT_EQ(sink_.records.size(), 1u);
+}
+
+TEST_F(SystemTest, TickVisitsOnlyPendingQueues) {
+  // 400 dyconits x 50 subscribers with infinite bounds: one update fans out
+  // to 50 queues, and the flush round examines exactly those 50, not all
+  // 20,000 subscriptions.
+  for (int d = 0; d < 400; ++d) {
+    for (SubscriberId s = 1; s <= 50; ++s) {
+      sys_.subscribe(DyconitId::chunk_entities({d, 0}), s, Bounds::infinite());
+    }
+  }
+  sys_.tick(sink_);  // settles GC of the freshly created dyconits
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+  sys_.update(DyconitId::chunk_entities({123, 0}), move_update(7, 1, 1, clock_.now()));
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
+  EXPECT_TRUE(sink_.records.empty());
+  EXPECT_EQ(sys_.total_queued(), 50u);
+
+  // The queues are still non-empty, so they stay pending ...
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 100u);
+  // ... until a forced flush empties them; the next round drops them.
+  sys_.flush_all(sink_);
+  EXPECT_EQ(sink_.records.size(), 50u);
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 150u);
+
+  // With nothing pending and no unsubscribe, a tick does no work at all.
+  const std::uint64_t visited1 = sys_.stats().queues_visited;
+  const std::uint64_t gc1 = sys_.stats().gc_checked;
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited, visited1);
+  EXPECT_EQ(sys_.stats().gc_checked, gc1);
+  EXPECT_EQ(sys_.dyconit_count(), 400u);
+}
+
+TEST_F(SystemTest, GcChecksOnlyDyconitsThatLostASubscriber) {
+  for (int d = 0; d < 10; ++d) {
+    sys_.subscribe(DyconitId::chunk_blocks({d, 0}), 1, Bounds::infinite());
+    sys_.subscribe(DyconitId::chunk_blocks({d, 0}), 2, Bounds::infinite());
+  }
+  sys_.tick(sink_);
+  const std::uint64_t gc0 = sys_.stats().gc_checked;
+  sys_.unsubscribe(DyconitId::chunk_blocks({3, 0}), 1);  // still has subscriber 2
+  sys_.unsubscribe(DyconitId::chunk_blocks({4, 0}), 1);
+  sys_.unsubscribe(DyconitId::chunk_blocks({4, 0}), 2);  // now idle
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().gc_checked - gc0, 1u);
+  EXPECT_EQ(sys_.dyconit_count(), 9u);
+  EXPECT_EQ(sys_.find(DyconitId::chunk_blocks({4, 0})), nullptr);
+}
+
+TEST_F(SystemTest, ResubscribeBeforeTickKeepsOnePendingEntry) {
+  const auto id = DyconitId::chunk_entities({0, 0});
+  sys_.subscribe(id, 1, Bounds::infinite());
+  sys_.update(id, move_update(7, 1, 1, clock_.now()));
+  sys_.unsubscribe(id, 1);
+  sys_.subscribe(id, 1, Bounds::zero());
+  sys_.update(id, move_update(8, 2, 1, clock_.now()));
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(std::get<EntityMove>(sink_.records[0].msg).id, 8u);
+  EXPECT_EQ(sys_.stats().dropped_unsubscribe, 1u);
 }
 
 TEST_F(SystemTest, TotalQueuedCounts) {

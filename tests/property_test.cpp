@@ -2,6 +2,8 @@
 // over bound configurations and random update streams with TEST_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <tuple>
 
@@ -296,6 +298,371 @@ TEST(CoalescingProperty, SavingsGrowWithUpdateRate) {
     d.run(100, rate);
     EXPECT_GT(d.sys.stats().coalesced, prev_coalesced);
     prev_coalesced = d.sys.stats().coalesced;
+  }
+}
+
+// ------------------------------------------ full-scan equivalence oracle
+
+/// Reference model of the middleware that examines every (dyconit,
+/// subscriber) queue on every tick and GC-checks every dyconit, in
+/// canonical order (std::map). DyconitSystem visits only pending queues and
+/// GC candidates; both must make the same sink calls and reach the same
+/// Stats.
+class FullScanModel {
+ public:
+  struct Rec {
+    bool snapshot = false;
+    SubscriberId to = 0;
+    DyconitId unit;  // snapshot requests only
+    std::uint32_t entity = 0;
+    double x = 0;
+    SimTime created;
+    std::uint64_t weight_bits = 0;
+    bool operator==(const Rec&) const = default;
+  };
+
+  explicit FullScanModel(const SimClock& clock) : clock_(clock) {}
+
+  void subscribe(DyconitId id, SubscriberId sub, Bounds b) { units_[id][sub].bounds = b; }
+
+  void unsubscribe(DyconitId id, SubscriberId sub) {
+    const auto it = units_.find(id);
+    if (it == units_.end()) return;
+    const auto s = it->second.find(sub);
+    if (s == it->second.end()) return;
+    stats.dropped_unsubscribe += s->second.entries.size();
+    it->second.erase(s);
+  }
+
+  void unsubscribe_all(SubscriberId sub) {
+    for (auto& [id, subs] : units_) unsubscribe(id, sub);
+  }
+
+  void set_bounds(DyconitId id, SubscriberId sub, Bounds b) {
+    const auto it = units_.find(id);
+    if (it == units_.end()) return;
+    const auto s = it->second.find(sub);
+    if (s != it->second.end()) s->second.bounds = b;
+  }
+
+  void set_shed(SubscriberId sub, ShedDirective d) {
+    if (d.any()) {
+      shed_[sub] = d;
+    } else {
+      shed_.erase(sub);
+    }
+  }
+
+  void update(DyconitId id, const Update& u, SubscriberId exclude) {
+    auto& subs = units_[id];
+    std::size_t targets = 0;
+    for (auto& [sub, q] : subs) {
+      if (sub == exclude) continue;
+      ++targets;
+      ++stats.enqueued;
+      q.total += u.weight;
+      const auto hit = std::find_if(q.entries.begin(), q.entries.end(), [&](const Update& e) {
+        return u.coalesce_key != 0 && e.coalesce_key == u.coalesce_key;
+      });
+      if (hit != q.entries.end()) {
+        hit->msg = u.msg;
+        hit->weight += u.weight;
+        ++stats.coalesced;
+      } else {
+        q.entries.push_back(u);
+      }
+    }
+    if (targets == 0) ++stats.dropped_no_subscriber;
+  }
+
+  void tick() {
+    const SimTime now = clock_.now();
+    for (auto& [id, subs] : units_) {
+      for (auto& [sub, q] : subs) {
+        const auto d = shed_.find(sub);
+        const ShedDirective dir = d == shed_.end() ? ShedDirective{} : d->second;
+        if (dir.shed_entity_moves) {
+          std::size_t shed = 0;
+          double shed_weight = 0.0;
+          std::vector<Update> kept;
+          for (const Update& e : q.entries) {
+            if ((e.coalesce_key >> 56) == 1) {
+              ++shed;
+              shed_weight += e.weight;
+            } else {
+              kept.push_back(e);
+            }
+          }
+          if (shed > 0) {
+            q.entries = kept;
+            q.total -= shed_weight;
+            stats.shed_updates += shed;
+            stats.shed_weight += shed_weight;
+          }
+        }
+        std::size_t threshold = snapshot_threshold;
+        if (dir.snapshot_threshold_override > 0 &&
+            (threshold == 0 || dir.snapshot_threshold_override < threshold)) {
+          threshold = dir.snapshot_threshold_override;
+        }
+        if (threshold > 0 && q.entries.size() > threshold) {
+          stats.dropped_snapshot += q.entries.size();
+          ++stats.snapshots_requested;
+          recs.push_back({true, sub, id, 0, 0, SimTime::zero(), 0});
+          q.clear();
+          continue;
+        }
+        if (q.entries.empty()) continue;
+        const SimDuration age = now - q.entries.front().created;
+        if (age >= q.bounds.staleness) {
+          deliver(sub, q, FlushReason::Staleness);
+        } else if (q.total > q.bounds.numerical) {
+          deliver(sub, q, FlushReason::Numerical);
+        }
+      }
+    }
+    std::erase_if(units_, [](const auto& kv) { return kv.second.empty(); });
+  }
+
+  void flush_subscriber(SubscriberId sub) {
+    for (auto& [id, subs] : units_) {
+      const auto s = subs.find(sub);
+      if (s != subs.end() && !s->second.entries.empty()) {
+        deliver(sub, s->second, FlushReason::Forced);
+      }
+    }
+  }
+
+  void resync_subscriber(SubscriberId sub) {
+    for (auto& [id, subs] : units_) {
+      const auto s = subs.find(sub);
+      if (s == subs.end()) continue;
+      if (!s->second.entries.empty()) deliver(sub, s->second, FlushReason::Forced);
+      recs.push_back({true, sub, id, 0, 0, SimTime::zero(), 0});
+      ++stats.snapshots_requested;
+    }
+    ++stats.resyncs;
+  }
+
+  void flush_all() {
+    for (auto& [id, subs] : units_) {
+      for (auto& [sub, q] : subs) {
+        if (!q.entries.empty()) deliver(sub, q, FlushReason::Forced);
+      }
+    }
+  }
+
+  std::size_t dyconit_count() const { return units_.size(); }
+  std::size_t subscriptions() const {
+    std::size_t n = 0;
+    for (const auto& [id, subs] : units_) n += subs.size();
+    return n;
+  }
+  std::size_t nonempty_queues() const {
+    std::size_t n = 0;
+    for (const auto& [id, subs] : units_) {
+      for (const auto& [sub, q] : subs) n += q.entries.empty() ? 0 : 1;
+    }
+    return n;
+  }
+
+  Stats stats;
+  std::size_t snapshot_threshold = 0;
+  std::vector<Rec> recs;
+
+ private:
+  struct Queue {
+    Bounds bounds;
+    std::vector<Update> entries;
+    double total = 0.0;
+    void clear() {
+      entries.clear();
+      total = 0.0;
+    }
+  };
+
+  void deliver(SubscriberId sub, Queue& q, FlushReason reason) {
+    switch (reason) {
+      case FlushReason::Staleness: ++stats.flushes_staleness; break;
+      case FlushReason::Numerical: ++stats.flushes_numerical; break;
+      case FlushReason::Forced: ++stats.flushes_forced; break;
+    }
+    for (const Update& e : q.entries) {
+      ++stats.delivered;
+      stats.weight_delivered += e.weight;
+      const auto& mv = std::get<EntityMove>(e.msg);
+      recs.push_back({false, sub, {}, mv.id, mv.pos.x, e.created,
+                      std::bit_cast<std::uint64_t>(e.weight)});
+    }
+    q.clear();
+  }
+
+  const SimClock& clock_;
+  std::map<DyconitId, std::map<SubscriberId, Queue>> units_;
+  ShedDirectiveMap shed_;
+};
+
+struct OracleRecordingSink : FlushSink {
+  void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override {
+    for (const auto& u : updates) {
+      const auto& mv = std::get<EntityMove>(*u.msg);
+      recs.push_back({false, to, {}, mv.id, mv.pos.x, u.created,
+                      std::bit_cast<std::uint64_t>(u.weight)});
+    }
+  }
+  void request_snapshot(SubscriberId to, const DyconitId& unit) override {
+    recs.push_back({true, to, unit, 0, 0, SimTime::zero(), 0});
+  }
+  std::vector<FullScanModel::Rec> recs;
+};
+
+void expect_same_stats(const Stats& want, const Stats& got) {
+  EXPECT_EQ(want.enqueued, got.enqueued);
+  EXPECT_EQ(want.coalesced, got.coalesced);
+  EXPECT_EQ(want.delivered, got.delivered);
+  EXPECT_EQ(want.dropped_no_subscriber, got.dropped_no_subscriber);
+  EXPECT_EQ(want.dropped_unsubscribe, got.dropped_unsubscribe);
+  EXPECT_EQ(want.flushes_staleness, got.flushes_staleness);
+  EXPECT_EQ(want.flushes_numerical, got.flushes_numerical);
+  EXPECT_EQ(want.flushes_forced, got.flushes_forced);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.weight_delivered),
+            std::bit_cast<std::uint64_t>(got.weight_delivered));
+  EXPECT_EQ(want.snapshots_requested, got.snapshots_requested);
+  EXPECT_EQ(want.dropped_snapshot, got.dropped_snapshot);
+  EXPECT_EQ(want.resyncs, got.resyncs);
+  EXPECT_EQ(want.shed_updates, got.shed_updates);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(want.shed_weight),
+            std::bit_cast<std::uint64_t>(got.shed_weight));
+}
+
+/// Drives DyconitSystem and FullScanModel with one seeded operation stream
+/// and checks after every step that they agree.
+void run_oracle(std::uint64_t seed, int steps) {
+  SimClock clock;
+  Rng rng(seed);
+  DyconitSystem sys(clock);
+  FullScanModel model(clock);
+  OracleRecordingSink sink;
+
+  const DyconitId units[] = {
+      DyconitId::chunk_entities({0, 0}), DyconitId::chunk_entities({1, 0}),
+      DyconitId::chunk_blocks({0, 0}),   DyconitId::region_entities({0, 0}),
+      DyconitId::global_entities(),      DyconitId::chunk_entities({-1, 2}),
+  };
+  const Bounds bounds[] = {
+      Bounds::zero(),
+      {SimDuration::millis(50), 0.5},
+      {SimDuration::millis(100), 2.0},
+      {SimDuration::millis(300), 1e9},
+      Bounds::infinite(),
+  };
+  constexpr SubscriberId kSubs = 6;
+  const std::size_t threshold = rng.next_below(2) == 0 ? 0 : 4 + rng.next_below(4);
+  sys.set_snapshot_threshold(threshold);
+  model.snapshot_threshold = threshold;
+
+  auto pick_unit = [&] { return units[rng.next_below(std::size(units))]; };
+  auto pick_sub = [&] { return static_cast<SubscriberId>(rng.next_below(kSubs) + 1); };
+  auto pick_bounds = [&] { return bounds[rng.next_below(std::size(bounds))]; };
+  double next_x = 0;
+
+  auto do_tick = [&] {
+    const std::size_t nonempty = model.nonempty_queues();
+    const std::size_t subscriptions = model.subscriptions();
+    const std::uint64_t visited0 = sys.stats().queues_visited;
+    model.tick();
+    sys.tick(sink);
+    const std::uint64_t visited = sys.stats().queues_visited - visited0;
+    // Every non-empty queue is examined; idle subscriptions are not walked
+    // wholesale (an emptied queue is seen at most once more).
+    EXPECT_GE(visited, nonempty);
+    EXPECT_LE(visited, subscriptions);
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 40) {
+      Update u;
+      const auto entity = static_cast<std::uint32_t>(rng.next_below(5) + 1);
+      u.msg = EntityMove{entity, {next_x++, 0, 0}, 0, 0};
+      u.weight = rng.next_double_in(0.05, 1.5);
+      u.created = clock.now();
+      const std::uint64_t key = rng.next_below(3);
+      u.coalesce_key = key == 0   ? 0
+                       : key == 1 ? coalesce_key_entity(entity)
+                                  : coalesce_key_block({static_cast<int>(entity), 64, 0});
+      const SubscriberId exclude =
+          rng.next_below(3) == 0 ? kNoSubscriber : pick_sub();
+      const DyconitId unit = pick_unit();
+      model.update(unit, u, exclude);
+      sys.update(unit, u, exclude);
+    } else if (op < 52) {
+      const DyconitId unit = pick_unit();
+      const SubscriberId sub = pick_sub();
+      const Bounds b = pick_bounds();
+      model.subscribe(unit, sub, b);
+      sys.subscribe(unit, sub, b);
+    } else if (op < 58) {
+      const DyconitId unit = pick_unit();
+      const SubscriberId sub = pick_sub();
+      model.unsubscribe(unit, sub);
+      sys.unsubscribe(unit, sub);
+    } else if (op < 62) {
+      // Unsubscribe then resubscribe the same id before the next tick.
+      const DyconitId unit = pick_unit();
+      const SubscriberId sub = pick_sub();
+      const Bounds b = pick_bounds();
+      model.unsubscribe(unit, sub);
+      sys.unsubscribe(unit, sub);
+      model.subscribe(unit, sub, b);
+      sys.subscribe(unit, sub, b);
+    } else if (op < 66) {
+      // A retune tightens a (possibly pending) queue, then the server
+      // flushes again at the same sim time.
+      const DyconitId unit = pick_unit();
+      const SubscriberId sub = pick_sub();
+      model.set_bounds(unit, sub, Bounds::zero());
+      sys.set_bounds(unit, sub, Bounds::zero());
+      do_tick();
+    } else if (op < 70) {
+      const SubscriberId sub = pick_sub();
+      ShedDirective d;
+      d.shed_entity_moves = rng.next_below(2) == 0;
+      d.snapshot_threshold_override = rng.next_below(2) == 0 ? 0 : 2 + rng.next_below(3);
+      model.set_shed(sub, d);
+      sys.set_shed_directive(sub, d);
+    } else if (op < 73) {
+      const SubscriberId sub = pick_sub();
+      model.flush_subscriber(sub);
+      sys.flush_subscriber(sub, sink);
+    } else if (op < 75) {
+      const SubscriberId sub = pick_sub();
+      model.resync_subscriber(sub);
+      sys.resync_subscriber(sub, sink);
+    } else if (op < 77) {
+      const SubscriberId sub = pick_sub();
+      model.unsubscribe_all(sub);
+      sys.unsubscribe_all(sub);
+    } else if (op < 78) {
+      model.flush_all();
+      sys.flush_all(sink);
+    } else {
+      clock.advance(SimDuration::millis(static_cast<std::int64_t>(rng.next_below(3)) * 25));
+      do_tick();
+    }
+    ASSERT_EQ(model.recs, sink.recs) << "seed " << seed << " step " << step;
+    model.recs.clear();
+    sink.recs.clear();
+    expect_same_stats(model.stats, sys.stats());
+    ASSERT_EQ(model.dyconit_count(), sys.dyconit_count()) << "seed " << seed << " step " << step;
+    if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << " step " << step;
+  }
+}
+
+TEST(FullScanOracle, PendingOnlyTickMatchesFullScan) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    run_oracle(seed, 300);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

@@ -346,6 +346,53 @@ TEST(UdpTransportTest, StrangerGarbageAllocatesNoPeer) {
   }
 }
 
+TEST(UdpTransportTest, MalformedTailStillDeliversParsedPrefix) {
+  Loopback lo;
+  if (!lo.ok()) GTEST_SKIP() << "no usable UDP sockets: " << lo.a->error();
+
+  // Hand-built Data datagrams from a raw socket: the first carries one
+  // whole frame and a torn second one, the next a single whole frame.
+  const Frame a = make_frame(2, 1, 40);
+  const Frame torn = make_frame(2, 2, 40);
+  const Frame c = make_frame(3, 3, 12);
+  std::vector<std::uint8_t> first{static_cast<std::uint8_t>(DatagramKind::Data)};
+  append_frame(first, a);
+  append_frame(first, torn);
+  first.resize(first.size() - 10);
+  std::vector<std::uint8_t> second{static_cast<std::uint8_t>(DatagramKind::Data)};
+  append_frame(second, c);
+
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(lo.a->local_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  const auto* dst = reinterpret_cast<const sockaddr*>(&to);
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  const std::uint64_t malformed0 = lo.a->stats().malformed_datagrams;
+  EXPECT_EQ(::sendto(fd, first.data(), first.size(), 0, dst, sizeof(to)),
+            static_cast<ssize_t>(first.size()));
+  EXPECT_EQ(::sendto(fd, second.data(), second.size(), 0, dst, sizeof(to)),
+            static_cast<ssize_t>(second.size()));
+  ::close(fd);
+
+  std::vector<net::Delivery> got;
+  for (int spins = 0; spins < 2000 && got.size() < 2; ++spins) {
+    lo.a->pump(/*timeout_ms=*/5);
+    for (auto& d : lo.a->poll(lo.a_local)) got.push_back(std::move(d));
+  }
+  // The prefix of the damaged datagram is delivered, the next datagram
+  // delivers exactly its own frame, and only the first counts as malformed.
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].frame.seq, 1u);
+  EXPECT_EQ(got[0].frame.payload, a.payload);
+  EXPECT_EQ(got[1].frame.seq, 3u);
+  EXPECT_EQ(got[1].frame.payload, c.payload);
+  EXPECT_EQ(lo.a->stats().malformed_datagrams, malformed0 + 1);
+
+  for (auto& d : got) net::BufferPool::instance().release(std::move(d.frame.payload));
+}
+
 // -- FaultInjectingTransport (DESIGN.md §13): the seeded fault decorator --
 // Deterministic checks run over a SimNetwork inner (no sockets needed);
 // the layering checks at the bottom wrap real loopback sockets.
