@@ -20,6 +20,8 @@
 #include "dyconit/policies/factory.h"
 #include "dyconit/system.h"
 #include "protocol/codec.h"
+#include "world/chunk.h"
+#include "world/terrain.h"
 
 namespace {
 
@@ -212,6 +214,36 @@ void BM_MemoryFootprint(benchmark::State& state) {
   state.counters["sizeof_update_B"] = static_cast<double>(sizeof(Update));
 }
 BENCHMARK(BM_MemoryFootprint);
+
+/// Decoding one ChunkData snapshot into a reused chunk, a client's cost per
+/// chunk it receives. Shapes: 0 = a generated terrain chunk, 1 = one
+/// 16,384-block run, 2 = 16,384 one-block runs (the 64 KB worst case).
+void BM_ChunkDecodeRle(benchmark::State& state) {
+  world::Chunk src({3, -2});
+  if (state.range(0) == 0) {
+    world::TerrainGenerator(1).generate(src);
+  } else {
+    for (int x = 0; x < world::kChunkSize; ++x) {
+      for (int z = 0; z < world::kChunkSize; ++z) {
+        for (int y = 0; y < world::kWorldHeight; ++y) {
+          const bool stone = state.range(0) == 1 || y % 2 == 0;
+          src.set_local(x, y, z, stone ? world::Block::Stone : world::Block::Air);
+        }
+      }
+    }
+  }
+  const std::vector<std::uint8_t> rle = src.encode_rle();
+  world::Chunk chunk({3, -2});
+  for (auto _ : state) {
+    if (!chunk.decode_rle(rle.data(), rle.size())) state.SkipWithError("decode rejected");
+    benchmark::DoNotOptimize(chunk.non_air_count());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(rle.size()));
+  state.counters["runs"] = static_cast<double>(rle.size() / 4);
+}
+BENCHMARK(BM_ChunkDecodeRle)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, then the chaos suite across a
 # fault-seed matrix, then the unit-test suite again under AddressSanitizer +
-# UBSan (DYCONITS_SANITIZE) including a 100k-iteration protocol fuzz pass,
-# then the trace suite under ThreadSanitizer (the Tracer's per-thread rings
-# and atomics are the synchronisation left in the tree), then a check that
+# UBSan (DYCONITS_SANITIZE) including a 100k-iteration protocol fuzz pass
+# that also feeds chunk payloads to Chunk::decode_rle, then the trace suite
+# under ThreadSanitizer (the Tracer's per-thread rings and atomics are the
+# synchronisation left in the tree), then a check that
 # the compile-out switch (DYCONITS_TRACING=OFF) still builds, then the
 # end-to-end UDP run: server + bot clients as separate OS processes over
 # loopback must produce the exact wire hashes the in-process sim oracle
@@ -182,13 +183,16 @@ if want chaos; then
 fi
 
 if want asan; then
-  echo "== sanitizers: ASan+UBSan build + ctest (+100k protocol fuzz) =="
+  echo "== sanitizers: ASan+UBSan build + ctest (+100k protocol + chunk RLE fuzz) =="
   cmake -B "$prefix-sanitize" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDYCONITS_SANITIZE="address;undefined"
   cmake --build "$prefix-sanitize" -j "$jobs"
   ctest --test-dir "$prefix-sanitize" --output-on-failure
-  # Acceptance floor for the decoder: 100k seeded mutations, zero crashes,
-  # zero sanitizer reports (the default iteration count is much smaller).
+  # Acceptance floor for the decoders a socket reaches: 100k seeded
+  # mutations through protocol::decode, and every ChunkData that survives
+  # it through Chunk::decode_rle (rejects leave the chunk unchanged), with
+  # zero crashes and zero sanitizer reports (the default iteration count is
+  # much smaller).
   DYCONITS_FUZZ_ITERS=100000 \
     ctest --test-dir "$prefix-sanitize" --output-on-failure -R protocol_fuzz_test
   # Acceptance floor for overload control (DESIGN.md §10): the full 10k-tick

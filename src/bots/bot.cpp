@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "entity/movement.h"
 #include "net/buffer_pool.h"
@@ -13,6 +14,24 @@ using protocol::AnyMessage;
 using world::BlockPos;
 using world::ChunkPos;
 using world::Vec3;
+
+namespace {
+
+/// One decode target per thread for the snapshots a bot does not keep (a
+/// chunk is ~33 KB, so not one per bot). A successful decode overwrites
+/// every block and a rejected one writes nothing, so nothing leaks from one
+/// snapshot into the next. Built in place and never destroyed: a
+/// thread_local with a destructor makes glibc register it with a small
+/// heap allocation at first use, mid-set-up, and that one long-lived block
+/// raised village_dense peak RSS from 156 to 166 MB. The scratch never
+/// encodes, so its RLE cache owns no memory.
+world::Chunk& decode_scratch() {
+  alignas(world::Chunk) thread_local unsigned char storage[sizeof(world::Chunk)];
+  thread_local world::Chunk* const chunk = new (storage) world::Chunk({0, 0});
+  return *chunk;
+}
+
+}  // namespace
 
 const char* behavior_name(BehaviorKind k) {
   switch (k) {
@@ -241,9 +260,8 @@ void BotClient::apply(const AnyMessage& msg, const net::Delivery& d) {
       if (!replica_world_->chunk_at(cd->pos).decode_rle(cd->rle.data(), cd->rle.size())) {
         ++decode_failures_;
       }
-    } else {
-      world::Chunk scratch(cd->pos);
-      if (!scratch.decode_rle(cd->rle.data(), cd->rle.size())) ++decode_failures_;
+    } else if (!decode_scratch().decode_rle(cd->rle.data(), cd->rle.size())) {
+      ++decode_failures_;
     }
     // A fresh snapshot obsoletes any deltas we were tracking in the chunk.
     for (auto it = block_deltas_.begin(); it != block_deltas_.end();) {

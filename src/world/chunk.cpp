@@ -1,5 +1,7 @@
 #include "world/chunk.h"
 
+#include <algorithm>
+
 namespace dyconits::world {
 
 Chunk::Chunk(ChunkPos pos) : pos_(pos) {
@@ -57,27 +59,54 @@ const std::vector<std::uint8_t>& Chunk::encode_rle() const {
   return out;
 }
 
+namespace {
+
+std::uint16_t read_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+
+}  // namespace
+
 bool Chunk::decode_rle(const std::uint8_t* data, std::size_t size) {
+  // Validate the whole payload before writing anything, so a rejected
+  // snapshot leaves blocks, derived state, revision and RLE cache untouched.
   if (size % 4 != 0) return false;
-  rle_dirty_ = true;  // blocks may mutate below even when decoding fails
+  std::size_t total = 0;
+  for (std::size_t off = 0; off < size; off += 4) {
+    const std::uint16_t run = read_u16(data + off + 2);
+    if (run == 0 || read_u16(data + off) >= kBlockPaletteSize) return false;
+    total += run;
+  }
+  if (total != kVolume) return false;
+
+  // Write run by run and derive the rest from the runs. Indices are
+  // column-major, so index / kWorldHeight is the heightmap slot and
+  // index % kWorldHeight is y. A non-air run tops every column it leaves
+  // at kWorldHeight - 1 and its last column at its last y; runs ascend,
+  // so a column's last non-air run sets its height.
+  heightmap_.fill(-1);
+  non_air_ = 0;
   std::size_t i = 0;
   for (std::size_t off = 0; off < size; off += 4) {
-    const auto id = static_cast<std::uint16_t>(data[off] | (data[off + 1] << 8));
-    const auto run = static_cast<std::size_t>(data[off + 2] | (data[off + 3] << 8));
-    if (run == 0 || i + run > kVolume || id >= kBlockPaletteSize) return false;
-    for (std::size_t k = 0; k < run; ++k) blocks_[i + k] = static_cast<Block>(id);
+    const auto b = static_cast<Block>(read_u16(data + off));
+    const std::size_t run = read_u16(data + off + 2);
+    if (run == 1) {  // the 64 KB worst case is all one-block runs: skip fill_n set-up
+      blocks_[i] = b;
+    } else {
+      std::fill_n(blocks_.data() + i, run, b);
+    }
+    if (b != Block::Air) {
+      non_air_ += static_cast<std::uint32_t>(run);
+      const std::size_t last = i + run - 1;
+      const std::size_t last_col = last / kWorldHeight;
+      std::fill(heightmap_.data() + i / kWorldHeight, heightmap_.data() + last_col,
+                static_cast<std::int16_t>(kWorldHeight - 1));
+      heightmap_[last_col] = static_cast<std::int16_t>(last % kWorldHeight);
+    }
     i += run;
   }
-  if (i != kVolume) return false;
-  // Rebuild derived state.
-  non_air_ = 0;
-  for (const Block b : blocks_) {
-    if (b != Block::Air) ++non_air_;
-  }
-  for (int x = 0; x < kChunkSize; ++x) {
-    for (int z = 0; z < kChunkSize; ++z) recompute_height(x, z);
-  }
   ++revision_;
+  rle_dirty_ = true;
   return true;
 }
 

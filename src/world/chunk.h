@@ -29,18 +29,23 @@ class Chunk {
   std::uint32_t non_air_count() const { return non_air_; }
 
   /// Monotonic per-chunk edit counter; bumped by every set_local that
-  /// changes a block. Lets sessions detect chunks that changed since sent.
+  /// changes a block and by every successful decode_rle. Lets sessions
+  /// detect chunks that changed since sent.
   std::uint64_t revision() const { return revision_; }
 
   /// Run-length encodes the block array (id, count) pairs, column-major.
   /// This is the payload of ChunkData wire messages. The blob is cached and
-  /// invalidated by block writes (set_local / decode_rle), so streaming the
-  /// same chunk to N subscribers — or replaying it on resync — runs RLE
-  /// once, not N times. The reference stays valid until the next write.
+  /// invalidated by block writes (set_local / a successful decode_rle), so
+  /// streaming the same chunk to N subscribers — or replaying it on resync —
+  /// runs RLE once, not N times. The reference stays valid until the next
+  /// write.
   const std::vector<std::uint8_t>& encode_rle() const;
 
-  /// Replaces contents from an RLE payload. Returns false on malformed or
-  /// wrong-size input (contents are then unspecified but memory-safe).
+  /// Replaces contents from an RLE payload, working per run rather than per
+  /// block. Returns false on malformed or wrong-size input: a size that is
+  /// not a multiple of 4, a zero run, an id outside the palette, or runs
+  /// that do not sum to kVolume. A rejected payload leaves the chunk exactly
+  /// as it was (blocks, non_air_count, heights, revision and RLE cache).
   bool decode_rle(const std::uint8_t* data, std::size_t size);
 
   static constexpr std::size_t kVolume =

@@ -2,14 +2,19 @@
 // type is encoded, then mutated — truncation, bit flips, length-field
 // corruption, tag swaps — and fed to decode(). The contract under test:
 // decode() returns nullopt for malformed input and NEVER crashes,
-// over-reads, or loops (scripts/verify.sh runs this under ASan+UBSan with
-// DYCONITS_FUZZ_ITERS=100000).
+// over-reads, or loops. Every ChunkData that survives decode() then goes
+// through Chunk::decode_rle, the next parser on the socket path: a rejected
+// payload must leave the chunk unchanged and an accepted one must leave its
+// derived state consistent (scripts/verify.sh runs this under ASan+UBSan
+// with DYCONITS_FUZZ_ITERS=100000).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "protocol/codec.h"
 #include "util/rng.h"
+#include "world/chunk.h"
+#include "world/terrain.h"
 
 namespace dyconits::protocol {
 namespace {
@@ -32,10 +37,9 @@ std::vector<AnyMessage> corpus() {
   msgs.push_back(ResyncRequest{123456});
   msgs.push_back(JoinAck{42, {0.5, 65.0, 0.5}, 8});
   {
-    ChunkData cd;
-    cd.pos = {3, -4};
-    for (int i = 0; i < 200; ++i) cd.rle.push_back(static_cast<std::uint8_t>(i));
-    msgs.push_back(std::move(cd));
+    world::Chunk terrain({3, -4});
+    world::TerrainGenerator(0xF022ull).generate(terrain);
+    msgs.push_back(ChunkData{terrain.pos(), terrain.encode_rle()});
   }
   msgs.push_back(UnloadChunk{{-7, 9}});
   msgs.push_back(BlockChange{{100, 40, 100}, world::Block::Dirt});
@@ -66,6 +70,63 @@ std::vector<AnyMessage> corpus() {
   return msgs;
 }
 
+/// The chunk every surviving ChunkData payload is decoded into: stone at
+/// y=0 and leaves at y=63 in every column, which no corpus payload
+/// encodes, with a warm RLE cache.
+const world::Chunk& prefilled_chunk() {
+  static const world::Chunk chunk = [] {
+    world::Chunk c({0, 0});
+    for (int x = 0; x < world::kChunkSize; ++x) {
+      for (int z = 0; z < world::kChunkSize; ++z) {
+        c.set_local(x, 0, z, world::Block::Stone);
+        c.set_local(x, world::kWorldHeight - 1, z, world::Block::Leaves);
+      }
+    }
+    c.encode_rle();
+    return c;
+  }();
+  return chunk;
+}
+
+/// RLE payloads decode_rle accepted and rejected, for the sweeps' sanity checks.
+struct RleTally {
+  std::uint64_t accepted = 0, rejected = 0;
+};
+RleTally rle_tally;
+
+/// Decodes a ChunkData payload into a copy of the pre-filled chunk. A
+/// rejected payload must leave blocks, revision and the RLE cache as they
+/// were; either way non_air_count and every height must equal what a full
+/// scan of the blocks finds.
+void check_chunk_decode(const std::vector<std::uint8_t>& rle) {
+  const world::Chunk& before = prefilled_chunk();
+  world::Chunk c = before;
+  const bool accepted = c.decode_rle(rle.data(), rle.size());
+  ++(accepted ? rle_tally.accepted : rle_tally.rejected);
+  EXPECT_EQ(c.revision(), before.revision() + (accepted ? 1 : 0));
+  std::uint32_t non_air = 0;
+  bool blocks_kept = true;
+  for (int x = 0; x < world::kChunkSize; ++x) {
+    for (int z = 0; z < world::kChunkSize; ++z) {
+      int top = -1;
+      for (int y = 0; y < world::kWorldHeight; ++y) {
+        const world::Block b = c.get_local(x, y, z);
+        if (b != world::Block::Air) {
+          ++non_air;
+          top = y;
+        }
+        blocks_kept = blocks_kept && b == before.get_local(x, y, z);
+      }
+      ASSERT_EQ(c.height_at(x, z), top) << "x=" << x << " z=" << z;
+    }
+  }
+  EXPECT_EQ(c.non_air_count(), non_air);
+  if (!accepted) {
+    EXPECT_TRUE(blocks_kept);
+    EXPECT_EQ(c.encode_rle(), before.encode_rle());
+  }
+}
+
 /// decode() must either reject the frame or produce a message that
 /// re-encodes cleanly — never crash. Returns true if it decoded.
 bool decode_must_not_crash(const net::Frame& frame) {
@@ -75,6 +136,7 @@ bool decode_must_not_crash(const net::Frame& frame) {
   // round-trip: encode() on it must not blow up either.
   const net::Frame re = encode(*decoded);
   EXPECT_EQ(re.tag, static_cast<std::uint8_t>(type_of(*decoded)));
+  if (const auto* cd = std::get_if<ChunkData>(&*decoded)) check_chunk_decode(cd->rle);
   return true;
 }
 
@@ -85,6 +147,11 @@ TEST(ProtocolFuzz, CleanRoundtripBaseline) {
     ASSERT_TRUE(decoded.has_value()) << message_type_name(type_of(msg));
     EXPECT_EQ(decoded->index(), msg.index());
   }
+  // The corpus chunk payload is a real terrain chunk that decode_rle accepts.
+  rle_tally = {};
+  for (const auto& msg : corpus()) decode_must_not_crash(encode(msg));
+  EXPECT_EQ(rle_tally.accepted, 1u);
+  EXPECT_EQ(rle_tally.rejected, 0u);
 }
 
 TEST(ProtocolFuzz, TruncationAtEveryLength) {
@@ -105,6 +172,7 @@ TEST(ProtocolFuzz, SeededMutationSweep) {
   Rng rng(0xF022EEDull);
   const std::uint64_t iters = fuzz_iters(20000);
   std::uint64_t rejected = 0, survived = 0;
+  rle_tally = {};
   for (std::uint64_t i = 0; i < iters; ++i) {
     net::Frame f = encode(msgs[rng.next_below(msgs.size())]);
     switch (rng.next_below(4)) {
@@ -144,6 +212,9 @@ TEST(ProtocolFuzz, SeededMutationSweep) {
   // are survivable (bit flips in f32 fields decode fine).
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(survived, 0u);
+  // Mutated chunk payloads reach decode_rle, and both of its outcomes occur.
+  EXPECT_GT(rle_tally.accepted, 0u);
+  EXPECT_GT(rle_tally.rejected, 0u);
 }
 
 TEST(ProtocolFuzz, PureRandomPayloads) {

@@ -1,6 +1,7 @@
 // Unit tests for src/world: geometry, chunks, terrain, world store.
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
 #include "world/ascii_map.h"
 #include "world/block.h"
 #include "world/chunk.h"
@@ -207,6 +208,280 @@ TEST(ChunkTest, RleCacheInvalidatedByFailedDecode) {
       }
     }
   }
+}
+
+// ------------------------------------------ decode_rle vs per-block reference
+
+/// The per-block decoder that decode_rle replaced, kept as the oracle: it
+/// writes every block of every run, then recounts the whole volume and
+/// scans each column from the top.
+struct ReferenceDecode {
+  std::vector<Block> blocks = std::vector<Block>(Chunk::kVolume, Block::Air);
+  std::uint32_t non_air = 0;
+  std::array<int, kChunkSize * kChunkSize> heights{};
+
+  bool decode(const std::vector<std::uint8_t>& rle) {
+    if (rle.size() % 4 != 0) return false;
+    std::size_t i = 0;
+    for (std::size_t off = 0; off < rle.size(); off += 4) {
+      const auto id = static_cast<std::uint16_t>(rle[off] | (rle[off + 1] << 8));
+      const auto run = static_cast<std::size_t>(rle[off + 2] | (rle[off + 3] << 8));
+      if (run == 0 || i + run > Chunk::kVolume || id >= kBlockPaletteSize) return false;
+      for (std::size_t k = 0; k < run; ++k) blocks[i + k] = static_cast<Block>(id);
+      i += run;
+    }
+    if (i != Chunk::kVolume) return false;
+    non_air = 0;
+    for (const Block b : blocks) {
+      if (b != Block::Air) ++non_air;
+    }
+    for (std::size_t col = 0; col < heights.size(); ++col) {
+      heights[col] = -1;
+      for (int y = kWorldHeight - 1; y >= 0; --y) {
+        if (blocks[col * kWorldHeight + static_cast<std::size_t>(y)] != Block::Air) {
+          heights[col] = y;
+          break;
+        }
+      }
+    }
+    return true;
+  }
+};
+
+/// Appends one (id, count) run to an RLE blob.
+void push_run(std::vector<std::uint8_t>& rle, Block b, std::size_t count) {
+  const auto id = static_cast<std::uint16_t>(b);
+  rle.push_back(static_cast<std::uint8_t>(id & 0xFF));
+  rle.push_back(static_cast<std::uint8_t>(id >> 8));
+  rle.push_back(static_cast<std::uint8_t>(count & 0xFF));
+  rle.push_back(static_cast<std::uint8_t>(count >> 8));
+}
+
+/// Every observable fact about a chunk, the RLE cache included.
+struct ChunkState {
+  std::vector<Block> blocks;
+  std::uint32_t non_air = 0;
+  std::vector<int> heights;
+  std::uint64_t revision = 0;
+  const std::vector<std::uint8_t>* rle_ref = nullptr;
+  const std::uint8_t* rle_data = nullptr;
+  std::vector<std::uint8_t> rle_bytes;
+
+  explicit ChunkState(const Chunk& c)
+      : non_air(c.non_air_count()),
+        revision(c.revision()),
+        rle_ref(&c.encode_rle()),
+        rle_data(c.encode_rle().data()),
+        rle_bytes(c.encode_rle()) {
+    for (int x = 0; x < kChunkSize; ++x) {
+      for (int z = 0; z < kChunkSize; ++z) {
+        heights.push_back(c.height_at(x, z));
+        for (int y = 0; y < kWorldHeight; ++y) blocks.push_back(c.get_local(x, y, z));
+      }
+    }
+  }
+  bool operator==(const ChunkState&) const = default;
+};
+
+/// A chunk whose contents and derived state differ from every decode input
+/// below: each column holds stone at y=0 and leaves at y=63, so a decode
+/// that forgets to reset a height or a count shows. The RLE cache is warm.
+Chunk prefilled_chunk() {
+  Chunk c({9, 9});
+  for (int x = 0; x < kChunkSize; ++x) {
+    for (int z = 0; z < kChunkSize; ++z) {
+      c.set_local(x, 0, z, Block::Stone);
+      c.set_local(x, kWorldHeight - 1, z, Block::Leaves);
+    }
+  }
+  c.encode_rle();
+  return c;
+}
+
+/// Decodes `rle` into a pre-filled chunk and checks blocks, non_air_count,
+/// all 256 heights and the revision bump against the reference decoder,
+/// then checks that encode_rle gives the same bytes back.
+void expect_decode_matches_reference(const std::vector<std::uint8_t>& rle) {
+  ReferenceDecode ref;
+  ASSERT_TRUE(ref.decode(rle));
+  Chunk c = prefilled_chunk();
+  const std::uint64_t rev = c.revision();
+  ASSERT_TRUE(c.decode_rle(rle.data(), rle.size()));
+  EXPECT_EQ(c.revision(), rev + 1);
+  EXPECT_EQ(c.non_air_count(), ref.non_air);
+  std::size_t mismatched_blocks = 0;
+  for (int x = 0; x < kChunkSize; ++x) {
+    for (int z = 0; z < kChunkSize; ++z) {
+      const std::size_t col = static_cast<std::size_t>(x * kChunkSize + z);
+      EXPECT_EQ(c.height_at(x, z), ref.heights[col]) << "x=" << x << " z=" << z;
+      for (int y = 0; y < kWorldHeight; ++y) {
+        if (c.get_local(x, y, z) != ref.blocks[col * kWorldHeight + static_cast<std::size_t>(y)]) {
+          ++mismatched_blocks;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatched_blocks, 0u);
+  EXPECT_EQ(c.encode_rle(), rle);
+}
+
+TEST(ChunkDecodeTest, TerrainAreaMatchesReference) {
+  const TerrainGenerator g(2021);
+  for (int cx = -8; cx < 8; ++cx) {
+    for (int cz = -8; cz < 8; ++cz) {
+      SCOPED_TRACE(testing::Message() << "chunk " << cx << "," << cz);
+      Chunk c({cx, cz});
+      g.generate(c);
+      expect_decode_matches_reference(c.encode_rle());
+    }
+  }
+}
+
+TEST(ChunkDecodeTest, RandomEditsMatchReference) {
+  const TerrainGenerator g(7);
+  Rng rng(0xDEC0DEull);
+  for (int k = 0; k < 200; ++k) {
+    SCOPED_TRACE(testing::Message() << "chunk " << k);
+    Chunk c({k, -k});
+    if (k % 2 == 0) g.generate(c);  // odd chunks start empty
+    if (k == 100) {  // fully solid: a random non-air block everywhere
+      for (int x = 0; x < kChunkSize; ++x) {
+        for (int z = 0; z < kChunkSize; ++z) {
+          for (int y = 0; y < kWorldHeight; ++y) {
+            c.set_local(x, y, z, static_cast<Block>(1 + rng.next_below(kBlockPaletteSize - 1)));
+          }
+        }
+      }
+      ASSERT_EQ(c.non_air_count(), Chunk::kVolume);
+      expect_decode_matches_reference(c.encode_rle());
+      continue;
+    }
+    const std::uint64_t edits = 20 + rng.next_below(200);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const int x = static_cast<int>(rng.next_below(kChunkSize));
+      const int z = static_cast<int>(rng.next_below(kChunkSize));
+      int y = static_cast<int>(rng.next_below(kWorldHeight));
+      if (e % 5 == 0) y = 0;
+      if (e % 5 == 1) y = kWorldHeight - 1;
+      c.set_local(x, y, z, static_cast<Block>(rng.next_below(kBlockPaletteSize)));
+    }
+    if (k % 3 == 0) {  // empty a few whole columns
+      for (int n = 0; n < 4; ++n) {
+        const int x = static_cast<int>(rng.next_below(kChunkSize));
+        const int z = static_cast<int>(rng.next_below(kChunkSize));
+        for (int y = 0; y < kWorldHeight; ++y) c.set_local(x, y, z, Block::Air);
+      }
+    }
+    expect_decode_matches_reference(c.encode_rle());
+  }
+}
+
+TEST(ChunkDecodeTest, SingleFullVolumeRun) {
+  for (const Block b : {Block::Stone, Block::Air}) {
+    SCOPED_TRACE(block_name(b));
+    std::vector<std::uint8_t> rle;
+    push_run(rle, b, Chunk::kVolume);
+    expect_decode_matches_reference(rle);
+  }
+}
+
+TEST(ChunkDecodeTest, AlternatingOneBlockRuns) {
+  std::vector<std::uint8_t> rle;
+  for (std::size_t i = 0; i < Chunk::kVolume; ++i) {
+    push_run(rle, i % 2 == 0 ? Block::Stone : Block::Air, 1);
+  }
+  ASSERT_EQ(rle.size(), 4 * Chunk::kVolume);  // the 64 KB worst case
+  expect_decode_matches_reference(rle);
+}
+
+TEST(ChunkDecodeTest, RunSpanningWholeColumns) {
+  // Column-major indices: column = index / 64, y = index % 64.
+  std::vector<std::uint8_t> rle;
+  push_run(rle, Block::Air, 100);      // column 0, and column 1 below y=36
+  push_run(rle, Block::Stone, 330);    // y=36 of column 1 .. y=45 of column 6
+  push_run(rle, Block::Air, 5);
+  push_run(rle, Block::Dirt, 3);       // a later run in column 6 tops it at y=53
+  push_run(rle, Block::Air, 74);       // the rest of column 6 and all of column 7
+  push_run(rle, Block::Water, 3 * kWorldHeight);  // exactly columns 8..10
+  push_run(rle, Block::Air, Chunk::kVolume - 704);
+  expect_decode_matches_reference(rle);
+
+  Chunk c = prefilled_chunk();
+  ASSERT_TRUE(c.decode_rle(rle.data(), rle.size()));
+  EXPECT_EQ(c.height_at(0, 0), -1);
+  for (int col = 1; col <= 5; ++col) EXPECT_EQ(c.height_at(0, col), kWorldHeight - 1);
+  EXPECT_EQ(c.height_at(0, 6), 53);
+  EXPECT_EQ(c.height_at(0, 7), -1);
+  for (int col = 8; col <= 10; ++col) EXPECT_EQ(c.height_at(0, col), kWorldHeight - 1);
+  EXPECT_EQ(c.height_at(0, 11), -1);
+  EXPECT_EQ(c.non_air_count(), 330u + 3u + 3u * kWorldHeight);
+}
+
+TEST(ChunkDecodeTest, RejectedPayloadLeavesChunkUnchanged) {
+  Chunk terrain({3, 3});
+  TerrainGenerator(11).generate(terrain);
+  const std::vector<std::uint8_t> good = terrain.encode_rle();
+  ASSERT_GT(good.size(), 400u);
+
+  std::vector<std::pair<const char*, std::vector<std::uint8_t>>> bad;
+  bad.emplace_back("size not a multiple of 4",
+                   std::vector<std::uint8_t>(good.begin(), good.end() - 1));
+  {
+    auto v = good;
+    v.push_back(0);
+    v.push_back(0);
+    bad.emplace_back("two trailing bytes", v);
+  }
+  {
+    std::vector<std::uint8_t> v;
+    push_run(v, Block::Stone, 0);
+    v.insert(v.end(), good.begin(), good.end());
+    bad.emplace_back("zero run first", v);
+  }
+  {
+    std::vector<std::uint8_t> v = {kBlockPaletteSize, 0, 0x00, 0x40};
+    bad.emplace_back("id just past the palette", v);
+    bad.emplace_back("id 0xFFFF", std::vector<std::uint8_t>{0xFF, 0xFF, 0x00, 0x40});
+  }
+  bad.emplace_back("empty payload", std::vector<std::uint8_t>{});
+  bad.emplace_back("short total: last run dropped",
+                   std::vector<std::uint8_t>(good.begin(), good.end() - 4));
+  {
+    auto v = good;
+    push_run(v, Block::Stone, 1);
+    bad.emplace_back("long total: one block too many", v);
+  }
+  {
+    std::vector<std::uint8_t> v;
+    push_run(v, Block::Stone, 0xFFFF);
+    bad.emplace_back("long total: one run past the volume", v);
+  }
+  {
+    auto v = good;
+    v[v.size() - 4] = 0xFF;  // last run's id
+    bad.emplace_back("valid prefix then a bad id", v);
+  }
+  {
+    auto v = good;
+    v[v.size() - 2] = 0;  // last run's count
+    v[v.size() - 1] = 0;
+    bad.emplace_back("valid prefix then a zero run", v);
+  }
+
+  for (const auto& [what, rle] : bad) {
+    SCOPED_TRACE(what);
+    Chunk c = prefilled_chunk();
+    const ChunkState before(c);
+    EXPECT_FALSE(c.decode_rle(rle.data(), rle.size()));
+    EXPECT_TRUE(ChunkState(c) == before);
+  }
+
+  // The same chunk still accepts the good payload afterwards.
+  Chunk c = prefilled_chunk();
+  for (const auto& [what, rle] : bad) c.decode_rle(rle.data(), rle.size());
+  ASSERT_TRUE(c.decode_rle(good.data(), good.size()));
+  EXPECT_EQ(c.encode_rle(), good);
+  EXPECT_EQ(c.non_air_count(), terrain.non_air_count());
 }
 
 // ----------------------------------------------------------------- terrain
