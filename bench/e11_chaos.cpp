@@ -1,5 +1,5 @@
 // E11 — Chaos: graceful degradation under injected network faults
-// (DESIGN.md §18, EXPERIMENTS.md E11). Sweeps per-frame loss rates while a
+// (DESIGN.md §8, EXPERIMENTS.md E11). Sweeps per-frame loss rates while a
 // fixed partition-and-heal plus one subscriber crash-and-restart run in the
 // background, and reports what the paper's middleware must guarantee even
 // then: bounded inconsistency (zero post-recovery bound violations),
@@ -25,10 +25,6 @@ struct ChaosOutcome {
   double recovery_s = -1.0;            // heal -> pos error back near baseline
   std::uint64_t fingerprint = 0;       // replay check: final world + wire state
 };
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 1099511628211ull;
-}
 
 /// One chaos run: `loss` on every link, a partition of a quarter of the
 /// fleet at warmup+10s for 3s, and bot 0 crashing at warmup+17s for 3s.
@@ -71,20 +67,20 @@ ChaosOutcome run_chaos(const Flags& flags, std::uint64_t seed, double loss) {
   for (std::uint64_t i = 0; i < ticks; ++i) sim.step_tick();
 
   // Replay fingerprint before finalize: ground truth + exact wire totals.
-  std::uint64_t fp = 1469598103934665603ull;
+  net::Fnv1a fp;
   sim.server().entities().for_each([&](const entity::Entity& e) {
-    fp = fnv(fp, e.id);
+    fp.u64(e.id);
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(e.pos.x));
     std::memcpy(&bits, &e.pos.x, sizeof(bits));
-    fp = fnv(fp, bits);
+    fp.u64(bits);
     std::memcpy(&bits, &e.pos.z, sizeof(bits));
-    fp = fnv(fp, bits);
+    fp.u64(bits);
   });
-  fp = fnv(fp, sim.network().total_bytes());
-  fp = fnv(fp, sim.network().total_frames());
-  fp = fnv(fp, sim.network().total_dropped_frames());
-  out.fingerprint = fp;
+  fp.u64(sim.network().total_bytes());
+  fp.u64(sim.network().total_frames());
+  fp.u64(sim.faults().injected_totals().dropped.frames);
+  out.fingerprint = fp.value();
 
   sim.finalize();
   out.result = std::move(sim.result());

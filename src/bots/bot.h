@@ -45,7 +45,7 @@ struct BotConfig {
   /// them. Set when the server runs survival_mode.
   bool survival = false;
 
-  // -- fault recovery (DESIGN.md §18) --
+  // -- fault recovery (DESIGN.md §8) --
   /// Re-send JoinRequest if no JoinAck arrived within this window (the
   /// request or its ack was lost). Zero disables retries.
   SimDuration join_retry = SimDuration::seconds(2);
@@ -185,7 +185,7 @@ class BotClient {
   std::uint64_t out_of_order_frames() const { return out_of_order_frames_; }
   std::uint64_t stale_moves_rejected() const { return stale_moves_rejected_; }
 
-  // -- fault recovery counters (DESIGN.md §18) --
+  // -- fault recovery counters (DESIGN.md §8) --
   /// Transport sequence gaps observed (missing server frames, including
   /// transient reorder holes that later filled).
   std::uint64_t gaps_detected() const { return gaps_detected_; }
@@ -250,7 +250,7 @@ class BotClient {
   std::uint64_t stale_moves_rejected_ = 0;
   SimTime newest_frame_sent_;
 
-  // -- transport sequencing / recovery state (DESIGN.md §18) --
+  // -- transport sequencing / recovery state (DESIGN.md §8) --
   /// A seq hole is only loss once it stayed unfilled this long (a non-FIFO
   /// link reorders frames; transient holes fill themselves).
   static constexpr SimDuration kGapGrace = SimDuration::millis(500);

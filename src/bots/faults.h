@@ -1,9 +1,9 @@
 // Bot-level fault schedules: what an experiment means by "10% loss plus a
 // partition at t=20s and a crash at t=30s", expressed against bot indices
 // and seconds instead of endpoint ids and SimTimes. The Simulation
-// translates this into a net::FaultPlan (and drives the client-side half of
-// crash/restart: reset_session + reconnect). Loadable from a text file so
-// bench binaries take --faults=FILE.
+// translates this into the net::FaultPlan of its fault layer (and drives
+// the client-side half of crash/restart: reset_session + reconnect).
+// Loadable from a text file so bench binaries take --faults=FILE.
 //
 // File format — one directive per line, '#' starts a comment:
 //
@@ -12,7 +12,7 @@
 //   corrupt P         # per-frame payload-corruption probability
 //   reorder P [MS]    # reorder probability [+ extra delay ceiling, ms]
 //   sendfail P        # sender-edge send-failure probability (a modeled
-//                     # EAGAIN; only FaultInjectingTransport draws it)
+//                     # EAGAIN, reported through send pressure)
 //   flap T0 T1 BOT    # link of bot BOT down from T0 to T1 (seconds)
 //   partition T0 T1 F # leading fraction F of bots cut off from T0 to T1
 //   crash T0 T1 BOT   # bot BOT crashes at T0, restarts+rejoins at T1

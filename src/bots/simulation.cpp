@@ -56,7 +56,7 @@ Simulation::Simulation(SimulationConfig cfg)
   };
 
   if (cfg_.tweak_server) cfg_.tweak_server(scfg);
-  server_ = std::make_unique<GameServer>(clock_, net_, *world_, std::move(policy), scfg);
+  server_ = std::make_unique<GameServer>(clock_, faults_, *world_, std::move(policy), scfg);
   server_->dyconits().set_record_staleness(cfg_.record_staleness);
 
   Rng bot_seeds(cfg_.seed ^ 0xB075EEDull);
@@ -66,7 +66,7 @@ Simulation::Simulation(SimulationConfig cfg)
     bc.keep_chunk_replica = cfg_.keep_chunk_replica;
     bc.survival = cfg_.survival;
     if (cfg_.tweak_bot) cfg_.tweak_bot(bc);
-    auto bot = std::make_unique<BotClient>(clock_, net_, *world_, server_->endpoint(),
+    auto bot = std::make_unique<BotClient>(clock_, faults_, *world_, server_->endpoint(),
                                            p.name, bot_seeds.next_u64(), bc);
     net_.connect(bot->endpoint(), server_->endpoint(),
                  {cfg_.link_latency, cfg_.link_jitter, cfg_.fifo_links});
@@ -78,7 +78,7 @@ Simulation::Simulation(SimulationConfig cfg)
   churn_rng_ = Rng(cfg_.seed ^ 0xC1124Eull);
   next_second_ = clock_.now() + SimDuration::seconds(1);
 
-  if (cfg_.faults.any()) install_fault_plan();
+  install_fault_plan();
   if (cfg_.overload_schedule.any()) install_overload_schedule();
 
   // Stamp trace records with this run's simulated time.
@@ -138,7 +138,7 @@ void Simulation::install_fault_plan() {
   }
   std::stable_sort(bot_fault_queue_.begin(), bot_fault_queue_.end(),
                    [](const BotFaultEvent& a, const BotFaultEvent& b) { return a.at < b.at; });
-  net_.set_fault_plan(std::move(plan));
+  faults_.set_fault_plan(std::move(plan));
 }
 
 void Simulation::apply_bot_faults() {
@@ -258,7 +258,9 @@ void Simulation::maybe_join_next() {
 void Simulation::step_tick() {
   TRACE_SCOPE("sim.tick");
   clock_.advance(server_->config().tick_interval);
-  net_.advance_faults();  // fire scheduled flaps/partitions/crashes on time
+  // Fire scheduled flaps/partitions/crashes on time, release due reordered
+  // frames and decay the injected-congestion estimate.
+  faults_.flush_egress();
   apply_bot_faults();
   apply_overload_schedule();
   maybe_join_next();
@@ -427,9 +429,6 @@ void Simulation::finalize() {
     result_.replica_pruned += bot->replica_pruned();
     result_.liveness_resets += bot->liveness_resets();
     result_.join_refusals += bot->join_refusals();
-    const net::FaultStats& fs = net_.fault_stats(bot->endpoint());
-    result_.frames_corrupted += fs.corrupted;
-    result_.frames_duplicated += fs.duplicated;
   }
   result_.resyncs_served = server_->resyncs_served();
   result_.reconnects = server_->reconnects();
@@ -446,15 +445,15 @@ void Simulation::finalize() {
     result_.peak_queue_bytes = os.peak_queue_bytes;
     result_.final_rung = server_->overload_rung();
   }
-  result_.frames_dropped = net_.total_dropped_frames();
   {
-    const net::FaultStats& fs = net_.fault_stats(server_->endpoint());
-    result_.frames_corrupted += fs.corrupted;
-    result_.frames_duplicated += fs.duplicated;
+    const net::FaultStats fs = faults_.injected_totals();
+    result_.frames_dropped = fs.dropped.frames;
+    result_.frames_corrupted = fs.corrupted;
+    result_.frames_duplicated = fs.duplicated;
   }
   {
-    // Send-pressure ledger as the server's transport saw it (all-zero on
-    // the sim wire; real counters over UDP or a send-fault plan).
+    // Send-pressure ledger as the server's transport saw it (all-zero
+    // unless the fault plan draws send failures).
     const net::SendPressure sp = server_->transport_pressure();
     result_.send_failures = sp.send_failures;
     result_.send_retries = sp.send_retries;

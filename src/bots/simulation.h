@@ -18,6 +18,7 @@
 #include "bots/workload.h"
 #include "metrics/metrics.h"
 #include "net/buffer_pool.h"
+#include "net/fault_transport.h"
 #include "server/game_server.h"
 #include "trace/tick_profiler.h"
 
@@ -67,8 +68,9 @@ struct SimulationConfig {
   SimDuration churn_rejoin_delay = SimDuration::seconds(3);
 
   /// Fault schedule (probabilistic link faults + scheduled flaps /
-  /// partitions / crashes), translated into a net::FaultPlan at
-  /// construction. See bots/faults.h for the --faults=FILE format.
+  /// partitions / crashes), translated into the net::FaultPlan of the
+  /// run's fault layer at construction. See bots/faults.h for the
+  /// --faults=FILE format.
   FaultScheduleConfig faults;
   /// Seed for the dedicated fault RNG stream; 0 derives one from `seed`.
   /// Same seed + same schedule replays the run byte-identically.
@@ -173,9 +175,8 @@ struct SimulationResult {
 
   // Server-side transport send pressure (DESIGN.md §13): datagram-level
   // failures, in-call retries, and the decaying congested-byte estimate at
-  // finalize. All zero on the sim wire, which never refuses a send; over
-  // UDP (or a send-fault plan) these are the counters the overload ladder
-  // listens to.
+  // finalize. All zero unless the fault schedule draws `sendfail`; these
+  // are the counters the overload ladder listens to.
   std::uint64_t send_failures = 0;
   std::uint64_t send_retries = 0;
   std::uint64_t send_drops = 0;        ///< datagrams given up on after retries
@@ -215,7 +216,11 @@ class Simulation {
 
   SimClock& clock() { return clock_; }
   server::GameServer& server() { return *server_; }
+  /// The link model, for link-level reads (bytes, wire hash, inboxes).
   net::SimNetwork& network() { return net_; }
+  /// The fault layer the server and bots talk through: the run's fault
+  /// plan, its ledger, and imperative heals/events for scripted scenarios.
+  net::FaultInjectingTransport& faults() { return faults_; }
   world::World& world() { return *world_; }
   std::vector<std::unique_ptr<BotClient>>& bots() { return bots_; }
   const SimulationConfig& config() const { return cfg_; }
@@ -239,6 +244,7 @@ class Simulation {
   SimClock clock_;
   std::unique_ptr<world::World> world_;
   net::SimNetwork net_;
+  net::FaultInjectingTransport faults_{net_, clock_};
   std::unique_ptr<server::GameServer> server_;
   std::vector<std::unique_ptr<BotClient>> bots_;
   std::size_t next_join_ = 0;
@@ -248,7 +254,7 @@ class Simulation {
 
   /// Client-side half of scheduled crashes: at `at`, either kill the bot's
   /// session state (restart=false) or bring it back and rejoin (true). The
-  /// network-side half (inbox wipe, refused traffic) lives in the FaultPlan.
+  /// network-side half (refused and dropped traffic) lives in the FaultPlan.
   struct BotFaultEvent {
     SimTime at;
     std::size_t bot = 0;

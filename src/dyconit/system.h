@@ -53,7 +53,7 @@ class DyconitSystem {
   /// Forced flush of everything owed to one subscriber.
   void flush_subscriber(SubscriberId sub, FlushSink& sink);
 
-  /// Recovery handshake (DESIGN.md §18): for every dyconit `sub` is
+  /// Recovery handshake (DESIGN.md §8): for every dyconit `sub` is
   /// subscribed to, flush the owed queue, then ask the game for an
   /// authoritative snapshot (FlushSink::request_snapshot) so state lost on
   /// the wire is replayed. The subscriber's queues are empty afterwards —

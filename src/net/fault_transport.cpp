@@ -1,7 +1,6 @@
 #include "net/fault_transport.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "net/buffer_pool.h"
 #include "trace/trace.h"
@@ -47,31 +46,20 @@ void FaultInjectingTransport::advance_events() {
   }
 }
 
+void FaultInjectingTransport::heal_links() { plan_.all_links = LinkFaults{}; }
+
 void FaultInjectingTransport::apply_event(const FaultEvent& e) {
   switch (e.kind) {
     case FaultEvent::Kind::LinkDown:
       if (e.b == kInvalidEndpoint) {
-        // Single-named link event: the whole endpoint is unreachable.
-        downed_endpoints_.insert(e.a);
-        drop_held(e.a, /*crash=*/false);
+        // Single-named link event: the whole endpoint is unreachable (a
+        // crash already in force keeps its cause).
+        downed_endpoints_.emplace(e.a, DropCause::Disconnect);
       } else {
         downed_pairs_.insert(pair_key(e.a, e.b));
         downed_pairs_.insert(pair_key(e.b, e.a));
-        for (auto& h : holdback_) {
-          if (h.to == kInvalidEndpoint) continue;
-          if (pair_key(h.from, h.to) != pair_key(e.a, e.b) &&
-              pair_key(h.from, h.to) != pair_key(e.b, e.a))
-            continue;
-          account_drop(stats_[h.to], h.frame, DropCause::Disconnect);
-          BufferPool::instance().release(std::move(h.frame.payload));
-          h.to = kInvalidEndpoint;  // tombstone; swept below
-        }
-        holdback_.erase(std::remove_if(holdback_.begin(), holdback_.end(),
-                                       [](const HeldFrame& h) {
-                                         return h.to == kInvalidEndpoint;
-                                       }),
-                        holdback_.end());
       }
+      drop_held(e.a, e.b, DropCause::Disconnect);
       TRACE_INSTANT("net.fault_transport.link_down");
       break;
     case FaultEvent::Kind::LinkUp:
@@ -84,11 +72,8 @@ void FaultInjectingTransport::apply_event(const FaultEvent& e) {
       TRACE_INSTANT("net.fault_transport.link_up");
       break;
     case FaultEvent::Kind::Crash:
-      // Models the REMOTE peer dying: sends into the window are refused and
-      // anything held for it is wiped, mirroring the sim's crashed-endpoint
-      // semantics from this side of the wire.
-      downed_endpoints_.insert(e.a);
-      drop_held(e.a, /*crash=*/true);
+      downed_endpoints_[e.a] = DropCause::Crash;
+      drop_held(e.a, kInvalidEndpoint, DropCause::Crash);
       TRACE_INSTANT("net.fault_transport.crash");
       break;
     case FaultEvent::Kind::Restart:
@@ -98,24 +83,39 @@ void FaultInjectingTransport::apply_event(const FaultEvent& e) {
   }
 }
 
-bool FaultInjectingTransport::endpoint_down(EndpointId id) const {
-  return downed_endpoints_.count(id) != 0;
+std::optional<FaultInjectingTransport::DropCause> FaultInjectingTransport::down_cause(
+    EndpointId from, EndpointId to) const {
+  if (downed_endpoints_.empty() && downed_pairs_.empty()) return std::nullopt;
+  std::optional<DropCause> cause;
+  for (const EndpointId id : {from, to}) {
+    const auto it = downed_endpoints_.find(id);
+    if (it == downed_endpoints_.end()) continue;
+    if (it->second == DropCause::Crash) return DropCause::Crash;
+    cause = DropCause::Disconnect;
+  }
+  if (!cause && downed_pairs_.count(pair_key(from, to)) != 0) cause = DropCause::Disconnect;
+  return cause;
 }
 
-bool FaultInjectingTransport::link_down(EndpointId a, EndpointId b) const {
-  return downed_pairs_.count(pair_key(a, b)) != 0;
+void FaultInjectingTransport::drop_held(EndpointId a, EndpointId b, DropCause cause) {
+  std::erase_if(holdback_, [&](HeldFrame& h) {
+    const bool hit = b == kInvalidEndpoint
+                         ? h.from == a || h.to == a
+                         : (h.from == a && h.to == b) || (h.from == b && h.to == a);
+    if (!hit) return false;
+    account_drop(stats_[h.to], h.frame, cause);
+    BufferPool::instance().release(std::move(h.frame.payload));
+    return true;
+  });
 }
 
-void FaultInjectingTransport::drop_held(EndpointId id, bool crash) {
-  const DropCause cause = crash ? DropCause::Crash : DropCause::Disconnect;
-  holdback_.erase(std::remove_if(holdback_.begin(), holdback_.end(),
-                                 [&](HeldFrame& h) {
-                                   if (h.to != id && h.from != id) return false;
-                                   account_drop(stats_[h.to], h.frame, cause);
-                                   BufferPool::instance().release(std::move(h.frame.payload));
-                                   return true;
-                                 }),
-                  holdback_.end());
+bool FaultInjectingTransport::forward(EndpointId from, EndpointId to, Frame frame,
+                                      FaultStats& st) {
+  const std::size_t size = frame.wire_size();
+  if (inner_.send(from, to, std::move(frame))) return true;
+  st.refused += 1;
+  st.refused_bytes += size;
+  return false;
 }
 
 void FaultInjectingTransport::account_drop(FaultStats& st, const Frame& f, DropCause cause) {
@@ -139,9 +139,10 @@ void FaultInjectingTransport::account_drop(FaultStats& st, const Frame& f, DropC
 }
 
 void FaultInjectingTransport::corrupt_frame(Frame& frame) {
-  // Bit-for-bit the sim's algorithm (SimNetwork::corrupt_frame), so the
-  // fault RNG stream stays interchangeable between backends.
+  // The header is modeled as protected: seq never changes, and the tag
+  // only when an empty payload leaves nothing else to flip.
   if (frame.payload.empty()) {
+    // Mangle the tag into one decode will reject.
     frame.tag = static_cast<std::uint8_t>(kMaxTags - 1);
     return;
   }
@@ -159,38 +160,39 @@ void FaultInjectingTransport::mix_decision(EndpointId to, const Frame& f, std::u
   decision_hash_.u64(f.seq);
   decision_hash_.u64(f.wire_size());
   decision_hash_.u64(bits);
-  ++frames_offered_;
 }
 
 bool FaultInjectingTransport::send(EndpointId from, EndpointId to, Frame frame) {
   TRACE_SCOPE("net.fault_transport.send");
   advance_events();
+  FaultStats& st = stats_[to];
+  const std::size_t size = frame.wire_size();
+  st.offered += 1;
+  st.offered_bytes += size;
 
-  // Scheduled windows refuse the send outright (the sim's crashed/no-link
-  // behavior). The caller sees false, exactly as it would from the sim.
-  if (endpoint_down(from) || endpoint_down(to) || link_down(from, to)) {
-    FaultStats& st = stats_[to];
+  // Scheduled windows refuse the send outright; the caller sees false.
+  if (down_cause(from, to)) {
     st.refused += 1;
+    st.refused_bytes += size;
     mix_decision(to, frame, kBitRefused);
     BufferPool::instance().release(std::move(frame.payload));
     return false;
   }
 
-  // Fault draws in the sim's fixed per-frame order (loss, duplicate,
-  // corrupt, reorder), then the wrapper-only send_fail draw. Probabilities
-  // at zero still consume draws within their group, so the stream is a pure
-  // function of the plan and the offer sequence.
+  // Fault draws in a fixed per-frame order (loss, duplicate, corrupt,
+  // reorder), then the send_fail draw. Probabilities at zero still consume
+  // draws within their group, so the stream is a pure function of the plan
+  // and the offer sequence.
+  const LinkFaults& faults = plan_.all_links;
   bool lost = false, duplicated = false, corrupted = false, reordered = false;
   bool send_failed = false;
-  if (plan_.all_links.any()) {
-    lost = fault_rng_.chance(plan_.all_links.loss);
-    duplicated = fault_rng_.chance(plan_.all_links.duplicate);
-    corrupted = fault_rng_.chance(plan_.all_links.corrupt);
-    reordered = fault_rng_.chance(plan_.all_links.reorder);
+  if (faults.any()) {
+    lost = fault_rng_.chance(faults.loss);
+    duplicated = fault_rng_.chance(faults.duplicate);
+    corrupted = fault_rng_.chance(faults.corrupt);
+    reordered = fault_rng_.chance(faults.reorder);
   }
-  if (plan_.all_links.send_fail > 0.0) {
-    send_failed = fault_rng_.chance(plan_.all_links.send_fail);
-  }
+  if (faults.send_fail > 0.0) send_failed = fault_rng_.chance(faults.send_fail);
 
   std::uint8_t bits = 0;
   if (lost) bits |= kBitLost;
@@ -200,14 +202,13 @@ bool FaultInjectingTransport::send(EndpointId from, EndpointId to, Frame frame) 
   if (send_failed) bits |= kBitSendFailed;
   mix_decision(to, frame, bits);
 
-  FaultStats& st = stats_[to];
-
   if (send_failed) {
     // A modeled sender-edge EAGAIN: the datagram never leaves, the send
     // call still "succeeds" (real socket failures surface at flush time),
     // and only the pressure counters know — which is the point.
-    ++injected_send_failures_;
-    congested_bytes_[to] += frame.wire_size();
+    st.send_failed += 1;
+    st.send_failed_bytes += size;
+    congested_bytes_[to] += size;
     ++congested_frames_[to];
     BufferPool::instance().release(std::move(frame.payload));
     TRACE_INSTANT("net.fault_transport.send_fail");
@@ -227,58 +228,58 @@ bool FaultInjectingTransport::send(EndpointId from, EndpointId to, Frame frame) 
     TRACE_INSTANT("net.fault_transport.corrupt");
   }
 
+  Frame dup;
   if (duplicated) {
     // A second copy right behind the original — a real wire can't schedule
     // a later delivery, and back-to-back duplicate datagrams are the common
     // case anyway.
-    Frame dup;
     dup.tag = frame.tag;
     dup.seq = frame.seq;
     dup.trace_origin = frame.trace_origin;
     dup.payload = BufferPool::instance().acquire();
     dup.payload.assign(frame.payload.begin(), frame.payload.end());
     st.duplicated += 1;
+    st.duplicated_bytes += size;
     TRACE_INSTANT("net.fault_transport.duplicate");
-    if (reordered) {
-      // The original takes the detour; the copy goes straight through.
-      const auto extra_us =
-          static_cast<std::uint64_t>(plan_.all_links.reorder_extra.count_micros());
-      SimTime due = clock_.now();
-      if (extra_us > 0) {
-        due = due + SimDuration::micros(
-                        static_cast<std::int64_t>(fault_rng_.next_below(extra_us + 1)));
-      }
-      st.reordered += 1;
-      inner_.send(from, to, std::move(dup));
-      holdback_.push_back(HeldFrame{due, next_hold_seq_++, from, to, std::move(frame)});
-      TRACE_INSTANT("net.fault_transport.reorder");
-      return true;
-    }
-    const bool ok = inner_.send(from, to, std::move(frame));
-    inner_.send(from, to, std::move(dup));
-    return ok;
   }
 
   if (reordered) {
-    const auto extra_us =
-        static_cast<std::uint64_t>(plan_.all_links.reorder_extra.count_micros());
+    // The frame takes a detour: held until flush_egress() finds it due. A
+    // duplicate copy goes straight through.
+    const auto extra_us = static_cast<std::uint64_t>(faults.reorder_extra.count_micros());
     SimTime due = clock_.now();
     if (extra_us > 0) {
       due = due + SimDuration::micros(
                       static_cast<std::int64_t>(fault_rng_.next_below(extra_us + 1)));
     }
     st.reordered += 1;
+    if (duplicated) forward(from, to, std::move(dup), st);
     holdback_.push_back(HeldFrame{due, next_hold_seq_++, from, to, std::move(frame)});
     TRACE_INSTANT("net.fault_transport.reorder");
     return true;
   }
 
-  return inner_.send(from, to, std::move(frame));
+  const bool ok = forward(from, to, std::move(frame), st);
+  if (duplicated) forward(from, to, std::move(dup), st);
+  return ok;
 }
 
 std::vector<Delivery> FaultInjectingTransport::poll(EndpointId to) {
   advance_events();
-  return inner_.poll(to);
+  std::vector<Delivery> out = inner_.poll(to);
+  FaultStats& st = stats_[to];
+  std::erase_if(out, [&](Delivery& d) {
+    const std::optional<DropCause> cause = down_cause(d.from, to);
+    if (!cause) return false;
+    account_drop(st, d.frame, *cause);
+    BufferPool::instance().release(std::move(d.frame.payload));
+    return true;
+  });
+  for (const Delivery& d : out) {
+    st.delivered += 1;
+    st.delivered_bytes += d.frame.wire_size();
+  }
+  return out;
 }
 
 void FaultInjectingTransport::disconnect(EndpointId a, EndpointId b) {
@@ -286,7 +287,7 @@ void FaultInjectingTransport::disconnect(EndpointId a, EndpointId b) {
 }
 
 bool FaultInjectingTransport::connected(EndpointId a, EndpointId b) const {
-  return inner_.connected(a, b);
+  return !down_cause(a, b) && inner_.connected(a, b);
 }
 
 std::uint64_t FaultInjectingTransport::egress_bytes(EndpointId id) const {
@@ -313,10 +314,6 @@ std::uint64_t FaultInjectingTransport::pending_bytes(EndpointId to) const {
   return inner_.pending_bytes(to) + injected;
 }
 
-const FaultStats* FaultInjectingTransport::fault_stats_if_any(EndpointId id) const {
-  return &stats_[id];  // mutable map: creates a zero entry on first query
-}
-
 void FaultInjectingTransport::flush_egress() {
   advance_events();
 
@@ -331,11 +328,12 @@ void FaultInjectingTransport::flush_egress() {
     std::size_t released = 0;
     for (auto& h : holdback_) {
       if (h.due > now) break;
-      if (endpoint_down(h.from) || endpoint_down(h.to) || link_down(h.from, h.to)) {
-        account_drop(stats_[h.to], h.frame, DropCause::Disconnect);
+      FaultStats& st = stats_[h.to];
+      if (const std::optional<DropCause> cause = down_cause(h.from, h.to)) {
+        account_drop(st, h.frame, *cause);
         BufferPool::instance().release(std::move(h.frame.payload));
       } else {
-        inner_.send(h.from, h.to, std::move(h.frame));
+        forward(h.from, h.to, std::move(h.frame), st);
       }
       ++released;
     }
@@ -355,8 +353,10 @@ void FaultInjectingTransport::flush_egress() {
 SendPressure FaultInjectingTransport::send_pressure(EndpointId to) const {
   SendPressure p = inner_.send_pressure(to);
   if (to == kInvalidEndpoint) {
-    p.send_failures += injected_send_failures_;
-    p.dropped_datagrams += injected_send_failures_;
+    for (const auto& [id, st] : stats_) {
+      p.send_failures += st.send_failed;
+      p.dropped_datagrams += st.send_failed;
+    }
     for (const auto& [id, bytes] : congested_bytes_) p.congested_bytes += bytes;
     for (const auto& [id, frames] : congested_frames_) p.congested_frames += frames;
   } else {
@@ -368,9 +368,27 @@ SendPressure FaultInjectingTransport::send_pressure(EndpointId to) const {
   return p;
 }
 
+Tally FaultInjectingTransport::held(EndpointId to) const {
+  Tally t;
+  for (const HeldFrame& h : holdback_) {
+    if (h.to != to) continue;
+    t.frames += 1;
+    t.bytes += h.frame.wire_size();
+  }
+  return t;
+}
+
 FaultStats FaultInjectingTransport::injected_totals() const {
   FaultStats total;
   for (const auto& [id, st] : stats_) {
+    total.offered += st.offered;
+    total.offered_bytes += st.offered_bytes;
+    total.refused_bytes += st.refused_bytes;
+    total.send_failed += st.send_failed;
+    total.send_failed_bytes += st.send_failed_bytes;
+    total.duplicated_bytes += st.duplicated_bytes;
+    total.delivered += st.delivered;
+    total.delivered_bytes += st.delivered_bytes;
     total.dropped.frames += st.dropped.frames;
     total.dropped.bytes += st.dropped.bytes;
     total.dropped.loss += st.dropped.loss;

@@ -1,29 +1,31 @@
-// Deterministic fault injection for REAL transports (DESIGN.md §13).
+// The fault layer (DESIGN.md §8, §13).
 //
-// `FaultInjectingTransport` is a decorator: it wraps any `Transport`
-// (in practice `UdpTransport`) and applies the same seeded `FaultPlan`
-// grammar the sim wire understands — per-frame loss / duplication /
-// corruption / reorder draws plus scheduled link-flap / partition /
-// crash windows — to frames *before* they reach the inner transport.
-// That extends the chaos guarantees from the simulated network to real
-// sockets and separate processes: the faults a run experiences are a pure
-// function of (plan seed, frame offer order), so the same process offered
-// the same frames makes byte-identical fault decisions every run.
-//
-// Differences from the sim's fault layer, all forced by only owning one
-// end of the wire:
+// `FaultInjectingTransport` is a decorator: it wraps any `Transport` —
+// the in-process SimNetwork link model or a real UdpTransport — and
+// applies a seeded `FaultPlan` — per-frame loss / duplication /
+// corruption / reorder / send-failure draws plus scheduled link-flap /
+// partition / crash windows — to frames *before* they reach the inner
+// transport. It is the only code that reads a FaultPlan, so the sim chaos
+// suites run exactly the fault code that ships on real sockets. The
+// faults a run experiences are a pure function of (plan seed, frame offer
+// order): the same frames offered in the same order make byte-identical
+// fault decisions every run, over any backend.
 //
 //  * Faults are injected on the SENDING side. A frame "lost in flight" is
 //    dropped before the inner transport ever sees it, so the inner egress
-//    counters exclude it; the wrapper's own FaultStats (per destination)
-//    close the conservation ledger instead.
-//  * Scheduled Crash/Restart events model the REMOTE end being gone: sends
-//    into the window are refused, exactly like the sim's crashed-endpoint
-//    refusal. (A real local crash is process-level — see --crash-at-tick.)
+//    counters exclude it; the wrapper's own FaultStats (per destination,
+//    see faults.h) close the conservation ledger instead.
+//  * A duplicate is a second copy sent right behind the original. A
+//    reordered frame is held back and released by flush_egress() once its
+//    extra delay has passed.
+//  * While an endpoint or a pair is down, sends touching it are refused
+//    and poll() drops deliveries to or from it (counted as crash or
+//    disconnect). Over a real wire this models the REMOTE end being gone;
+//    a real local crash is process-level (see --crash-at-tick).
 //  * `send_fail` draws model a sender-edge EAGAIN: the datagram vanishes,
 //    send() still returns true (real socket failures surface at flush, not
-//    send), and the failure is visible only through send_pressure() — the
-//    hook the overload ladder listens to.
+//    send), and the failure is visible through send_pressure() — the hook
+//    the overload ladder listens to.
 //
 // The per-frame decision stream is digested into `decision_hash()`
 // (FNV-1a over destination, tag, seq, wire size, and the decision bits),
@@ -31,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,11 +53,16 @@ class FaultInjectingTransport final : public Transport {
   FaultInjectingTransport(Transport& inner, SimClock& clock);
   ~FaultInjectingTransport() override;
 
-  /// Installs the plan and reseeds the dedicated fault RNG from it, exactly
-  /// like SimNetwork::set_fault_plan — same seed, same offered frames, same
-  /// decisions. Events are applied as the clock passes them.
+  /// Installs the plan and reseeds the dedicated fault RNG from it — same
+  /// seed, same offered frames, same decisions. Events are applied as the
+  /// clock passes them.
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const { return plan_; }
+  /// Heals the links: zeroes every probabilistic rate, send_fail included.
+  /// Scheduled events, held frames and the ledger are unaffected.
+  void heal_links();
+  /// Applies one event now, through the same path scheduled events take.
+  void apply_event(const FaultEvent& e);
 
   Transport& inner() { return inner_; }
 
@@ -62,8 +70,11 @@ class FaultInjectingTransport final : public Transport {
   EndpointId create_endpoint(std::string name) override;
   const std::string& endpoint_name(EndpointId id) const override;
   bool send(EndpointId from, EndpointId to, Frame frame) override;
+  /// The inner transport's deliveries, minus those to or from an endpoint
+  /// or pair that is down (counted in the destination's ledger).
   std::vector<Delivery> poll(EndpointId to) override;
   void disconnect(EndpointId a, EndpointId b) override;
+  /// False while the pair or either endpoint is down.
   bool connected(EndpointId a, EndpointId b) const override;
 
   // -- Accounting: delegated. The inner transport counts what actually hit
@@ -76,9 +87,8 @@ class FaultInjectingTransport final : public Transport {
   // -- Capabilities --
   bool has_backlog_signal() const override;
   std::uint64_t pending_bytes(EndpointId to) const override;
-  /// The wrapper's own injection ledger for frames addressed to `id`
-  /// (sender-side, unlike the sim's receiver-side stats — see header).
-  const FaultStats* fault_stats_if_any(EndpointId id) const override;
+  /// The ledger for frames addressed to `id` (see faults.h).
+  const FaultStats& fault_stats(EndpointId id) const { return stats_[id]; }
   /// Releases due reordered frames, decays the injected-congestion
   /// estimate, then flushes the inner transport.
   void flush_egress() override;
@@ -89,9 +99,11 @@ class FaultInjectingTransport final : public Transport {
   /// Order-sensitive digest of every fault decision made so far.
   std::uint64_t decision_hash() const { return decision_hash_.value(); }
   /// Frames offered to send() (including refused/dropped ones).
-  std::uint64_t frames_offered() const { return frames_offered_; }
+  std::uint64_t frames_offered() const { return injected_totals().offered; }
   /// Frames currently held back by a reorder decision.
   std::size_t frames_held() const { return holdback_.size(); }
+  /// Frames and bytes held back for `to`: in flight, for the ledger.
+  Tally held(EndpointId to) const;
   /// Injection totals summed over all destinations.
   FaultStats injected_totals() const;
 
@@ -104,13 +116,17 @@ class FaultInjectingTransport final : public Transport {
     Frame frame;
   };
 
-  void advance_events();
-  void apply_event(const FaultEvent& e);
-  bool endpoint_down(EndpointId id) const;
-  bool link_down(EndpointId a, EndpointId b) const;
-  void drop_held(EndpointId id, bool crash);
-  void corrupt_frame(Frame& frame);
   enum class DropCause : std::uint8_t { Loss, Disconnect, Crash };
+
+  void advance_events();
+  /// Why traffic from->to cannot flow right now, or nullopt if it can.
+  std::optional<DropCause> down_cause(EndpointId from, EndpointId to) const;
+  /// Drops held frames to or from `a` (b == kInvalidEndpoint), or on the
+  /// a<->b pair in either direction.
+  void drop_held(EndpointId a, EndpointId b, DropCause cause);
+  /// Hands a copy to the inner transport; a refusal is counted.
+  bool forward(EndpointId from, EndpointId to, Frame frame, FaultStats& st);
+  void corrupt_frame(Frame& frame);
   void mix_decision(EndpointId to, const Frame& f, std::uint8_t bits);
   void account_drop(FaultStats& st, const Frame& f, DropCause cause);
   static std::uint64_t pair_key(EndpointId a, EndpointId b) {
@@ -123,7 +139,9 @@ class FaultInjectingTransport final : public Transport {
   Rng fault_rng_;
   std::size_t next_event_ = 0;
 
-  std::unordered_set<EndpointId> downed_endpoints_;
+  /// Unreachable endpoints: Crash (crashed) or Disconnect (a single-named
+  /// link event).
+  std::unordered_map<EndpointId, DropCause> downed_endpoints_;
   std::unordered_set<std::uint64_t> downed_pairs_;
 
   std::vector<HeldFrame> holdback_;
@@ -132,10 +150,8 @@ class FaultInjectingTransport final : public Transport {
   mutable std::unordered_map<EndpointId, FaultStats> stats_;
   std::unordered_map<EndpointId, std::uint64_t> congested_bytes_;
   std::unordered_map<EndpointId, std::uint64_t> congested_frames_;
-  std::uint64_t injected_send_failures_ = 0;
 
   Fnv1a decision_hash_;
-  std::uint64_t frames_offered_ = 0;
 };
 
 }  // namespace dyconits::net

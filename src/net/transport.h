@@ -7,7 +7,7 @@
 // view of a network: framed messages in, framed deliveries out, per-
 // endpoint byte accounting — no link model, no fault injection, no
 // sockets. Capabilities that only some backends have (a backpressure
-// signal, fault-layer statistics) are optional queries so callers degrade
+// signal, send pressure) are optional queries so callers degrade
 // gracefully instead of assuming the sim (DESIGN.md §12).
 #pragma once
 
@@ -32,7 +32,7 @@ struct Frame {
   std::uint8_t tag = 0;
   /// Per-sender transport sequence number (1-based); 0 means unsequenced.
   /// Receivers use gaps in this to detect loss and trigger a resync
-  /// (DESIGN.md §18). Modeled as header-protected: corruption flips
+  /// (DESIGN.md §8). Modeled as header-protected: corruption flips
   /// payload bits, never the sequence number.
   std::uint32_t seq = 0;
   std::vector<std::uint8_t> payload;
@@ -73,8 +73,10 @@ struct SendPressure {
   std::uint64_t congested_frames = 0;  ///< decaying estimate of stuck sends
 };
 
-/// Abstract frame transport. Implementations: SimNetwork (in-process,
-/// simulated latency/faults, deterministic), UdpTransport (real sockets).
+/// Abstract frame transport. Implementations: SimNetwork (in-process link
+/// model with simulated latency, deterministic), UdpTransport (real
+/// sockets), and FaultInjectingTransport (the fault layer, decorating
+/// either).
 ///
 /// Determinism boundary: everything ABOVE this interface — which frames are
 /// sent, their order per destination, their tag/payload bytes — is a pure
@@ -110,12 +112,11 @@ class Transport {
 
   // -- Optional capabilities (DESIGN.md §12) --
   //
-  // The server's overload controller reads remote-inbox backpressure and
-  // the chaos suite reads fault statistics. Both are observable only when
-  // the backend owns both ends of the wire (the sim). Real backends return
-  // the documented neutral value and the caller degrades: overload control
-  // falls back to its local egress-queue signal, fault introspection
-  // reports nothing.
+  // The server's overload controller reads remote-inbox backpressure,
+  // observable only when the backend owns both ends of the wire (the sim).
+  // Backends without a capability return the documented neutral value and
+  // the caller degrades: overload control falls back to its local
+  // egress-queue signal.
 
   /// True iff pending_bytes() is a real backpressure signal. The sim owns
   /// both ends of the wire and reports the remote inbox; UdpTransport cannot
@@ -131,16 +132,10 @@ class Transport {
     (void)to;
     return 0;
   }
-  /// Receiver-side fault counters, or nullptr on backends without a fault
-  /// layer. Callers must handle nullptr (the sim-only accessor that used to
-  /// be called unconditionally from GameServer).
-  virtual const FaultStats* fault_stats_if_any(EndpointId id) const {
-    (void)id;
-    return nullptr;
-  }
   /// Pushes any coalesced/staged datagrams onto the wire. The sim sends
   /// synchronously, so the default is a no-op; UdpTransport batches frames
-  /// into MTU-sized datagrams and flushes here (call once per tick).
+  /// into MTU-sized datagrams and the fault layer releases reordered
+  /// frames here (call once per tick).
   virtual void flush_egress() {}
 
   /// True iff send_pressure() reports real numbers: the backend can fail to
@@ -161,7 +156,8 @@ class Transport {
 
 /// Byte-wise 64-bit FNV-1a. Every order-sensitive digest in the net layer
 /// (WireHasher, SimNetwork::wire_hash, FaultInjectingTransport's decision
-/// hash) is built from this one definition.
+/// hash), and the test and bench fingerprints, are built from this one
+/// definition.
 class Fnv1a {
  public:
   void byte(std::uint8_t b) { h_ = (h_ ^ b) * kPrime; }

@@ -75,7 +75,7 @@ struct ReassemblyStats {
 /// completed message parses back into the original Frame. Partials that
 /// stay incomplete past `timeout` are garbage-collected — frame loss is
 /// then surfaced to the application as a sequence gap, and the existing
-/// resync machinery (DESIGN.md §18) repairs the replica.
+/// resync machinery (DESIGN.md §8) repairs the replica.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout = SimDuration::seconds(5))

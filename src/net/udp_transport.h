@@ -8,7 +8,7 @@
 // models — send() coalesces them into MTU-sized Data datagrams flushed by
 // flush_egress(), oversized frames are split by udpwire::fragment_frame and
 // reassembled on the far side, and loss/reorder surfaces to the application
-// as the same sequence gaps the sim's fault layer produces, repaired by the
+// as the same sequence gaps the fault layer produces, repaired by the
 // existing resync machinery. Liveness is wall-clock: periodic Keepalive
 // datagrams refresh per-peer idle timers, and a peer silent past
 // idle_timeout is disconnected.

@@ -77,7 +77,7 @@ struct ChatSend {
 
 /// Client -> server: "I detected a transport gap (or just reconnected) —
 /// replay authoritative state for everything I subscribe to." Part of the
-/// recovery handshake, DESIGN.md §18.
+/// recovery handshake, DESIGN.md §8.
 struct ResyncRequest {
   /// Highest server frame sequence number the client has seen.
   std::uint32_t last_seq = 0;

@@ -119,7 +119,7 @@ class GameServer final : public dyconit::FlushSink {
   std::uint64_t keepalives_sent() const { return keepalives_sent_; }
   std::uint64_t sessions_timed_out() const { return sessions_timed_out_; }
 
-  // -- fault/recovery introspection (DESIGN.md §18) --
+  // -- fault/recovery introspection (DESIGN.md §8) --
   std::uint64_t resyncs_served() const { return resyncs_served_; }
   std::uint64_t reconnects() const { return reconnects_; }
   std::uint64_t malformed_frames() const { return malformed_frames_; }
@@ -172,7 +172,7 @@ class GameServer final : public dyconit::FlushSink {
     /// Smoothed round-trip time measured from keep-alive replies (zero
     /// until the first reply). Available to policies via PlayerView.
     SimDuration rtt;
-    /// Transport sequence numbers (DESIGN.md §18): every frame to this
+    /// Transport sequence numbers (DESIGN.md §8): every frame to this
     /// client is stamped ++out_seq; in_seq is the highest client frame
     /// seen (client->server gaps are counted, not recovered — inputs are
     /// absolute and the next one supersedes the lost).
@@ -237,7 +237,7 @@ class GameServer final : public dyconit::FlushSink {
   void handle_join(net::EndpointId from, const protocol::JoinRequest& m);
   void handle_message(Session& s, const protocol::AnyMessage& m);
   void apply_player_move(Session& s, const protocol::PlayerMove& m);
-  /// Recovery handshake (DESIGN.md §18): flush owed updates, replay
+  /// Recovery handshake (DESIGN.md §8): flush owed updates, replay
   /// authoritative state for everything `s` subscribes to, pin bounds at
   /// zero until the snapshot drains, and acknowledge with ResyncAck.
   void begin_resync(Session& s);

@@ -1,8 +1,9 @@
-// Deterministic chaos suite (DESIGN.md §18): the full stack under injected
-// network faults. Re-asserts the §7 invariants *after recovery* — bounded
-// inconsistency, eventual delivery (replicas converge exactly once the
-// network heals and resyncs complete), closed accounting ledgers — plus
-// byte-identical replay of any fault schedule from its seed.
+// Deterministic chaos suite (DESIGN.md §8): the full stack under network
+// faults injected by the one fault layer, FaultInjectingTransport, wrapped
+// around the SimNetwork link model. Re-asserts the §7 invariants *after
+// recovery* — bounded inconsistency, eventual delivery (replicas converge
+// exactly once the network heals and resyncs complete), closed accounting
+// ledgers — plus byte-identical replay of any fault schedule from its seed.
 //
 // The fault seed matrix is driven by scripts/verify.sh via the
 // DYCONITS_CHAOS_SEED environment variable (default 42).
@@ -10,10 +11,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "bots/faults.h"
 #include "bots/simulation.h"
+#include "world_digest.h"
 
 namespace dyconits::bots {
 namespace {
@@ -44,7 +45,7 @@ SimulationConfig chaos_config(std::size_t players = 5) {
 /// snapshot streams drain, then quiesces (bots paused, queues flushed,
 /// network drained) so replicas can be compared against ground truth.
 void heal_and_quiesce(Simulation& sim, int drain_ticks = 200) {
-  sim.network().clear_link_faults();
+  sim.faults().heal_links();
   // A session that accumulated keepalive_missed_limit lost replies during
   // the fault window is torn down at the *next* keepalive interval — up to
   // 2 s after the heal. Settle past that window first so any doomed
@@ -111,65 +112,36 @@ void expect_dyconit_ledger_closed(Simulation& sim) {
                             s.dropped_unsubscribe + s.dropped_snapshot);
 }
 
-/// Network conservation ledger per endpoint (see SimNetwork::offered_frames).
+/// Fault-layer ledger per destination (net/faults.h): every copy the fault
+/// layer accepted was refused, failed, dropped, delivered, or is still in
+/// flight — held for reorder or waiting in the link model's inbox.
 void expect_wire_ledger_closed(Simulation& sim) {
   auto check = [&](net::EndpointId ep) {
-    const net::FaultStats& fs = sim.network().fault_stats(ep);
-    EXPECT_EQ(sim.network().offered_frames(ep),
-              sim.network().ingress_frames(ep) - fs.duplicated + fs.dropped.loss)
+    const net::FaultStats& fs = sim.faults().fault_stats(ep);
+    const net::Tally in_flight =
+        sim.faults().held(ep) +
+        net::Tally{sim.network().pending_count(ep), sim.network().pending_bytes(ep)};
+    EXPECT_EQ(net::ledger_in(fs), net::ledger_out(fs, net::delivered(fs), in_flight))
         << sim.network().endpoint_name(ep);
   };
   check(sim.server().endpoint());
   for (const auto& bot : sim.bots()) check(bot->endpoint());
 }
 
-/// Order-independent hash of the final state: entities sorted by id, loaded
-/// ground-truth chunks XOR-combined by position, plus exact wire totals.
+std::uint64_t frames_dropped(Simulation& sim) {
+  return sim.faults().injected_totals().dropped.frames;
+}
+
+/// Replay fingerprint: the final world state plus exact wire totals.
 std::uint64_t world_hash(Simulation& sim) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  auto mix = [&](std::uint64_t h, std::uint64_t v) { return (h ^ v) * kPrime; };
-  std::uint64_t h = 1469598103934665603ull;
-
-  std::vector<const entity::Entity*> ents;
-  sim.server().entities().for_each(
-      [&](const entity::Entity& e) { ents.push_back(&e); });
-  std::sort(ents.begin(), ents.end(),
-            [](const entity::Entity* a, const entity::Entity* b) { return a->id < b->id; });
-  for (const entity::Entity* e : ents) {
-    h = mix(h, e->id);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &e->pos.x, sizeof(double));
-    h = mix(h, bits);
-    std::memcpy(&bits, &e->pos.y, sizeof(double));
-    h = mix(h, bits);
-    std::memcpy(&bits, &e->pos.z, sizeof(double));
-    h = mix(h, bits);
-  }
-
-  // Chunk iteration order is a hash map's; XOR-combining per-chunk digests
-  // keeps the result order-independent.
-  std::uint64_t chunks = 0;
-  sim.world().for_each_chunk([&](const world::Chunk& c) {
-    std::uint64_t ch = 1469598103934665603ull;
-    ch = mix(ch, static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.pos().x)));
-    ch = mix(ch, static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.pos().z)));
-    for (int x = 0; x < world::kChunkSize; ++x) {
-      for (int z = 0; z < world::kChunkSize; ++z) {
-        for (int y = 0; y < 10; ++y) {  // edits happen near the ground
-          ch = mix(ch, static_cast<std::uint64_t>(c.get_local(x, y, z)));
-        }
-      }
-    }
-    chunks ^= ch;
-  });
-  h = mix(h, chunks);
-
-  h = mix(h, sim.network().total_bytes());
-  h = mix(h, sim.network().total_frames());
-  h = mix(h, sim.network().total_dropped_frames());
-  h = mix(h, sim.server().resyncs_served());
-  h = mix(h, sim.server().reconnects());
-  return h;
+  net::Fnv1a h;
+  h.u64(world_digest(sim));
+  h.u64(sim.network().total_bytes());
+  h.u64(sim.network().total_frames());
+  h.u64(frames_dropped(sim));
+  h.u64(sim.server().resyncs_served());
+  h.u64(sim.server().reconnects());
+  return h.value();
 }
 
 // ------------------------------------------------------- probabilistic loss
@@ -182,7 +154,7 @@ TEST_P(LossSweep, RecoversAndConvergesAfterHeal) {
   Simulation sim(cfg);
   for (int i = 0; i < 400; ++i) sim.step_tick();
   if (GetParam() > 0) {
-    EXPECT_GT(sim.network().total_dropped_frames(), 0u);
+    EXPECT_GT(frames_dropped(sim), 0u);
   }
   heal_and_quiesce(sim);
   expect_entities_converged(sim);
@@ -230,11 +202,30 @@ TEST(ChaosTest, CorruptionIsRejectedNotApplied) {
   for (int i = 0; i < 400; ++i) sim.step_tick();
   heal_and_quiesce(sim);
   expect_entities_converged(sim);
+  expect_wire_ledger_closed(sim);
   sim.finalize();
   // Corrupted frames must surface as decode failures (never crashes or
   // silently-applied garbage) and trigger resyncs that repair the replica.
   EXPECT_GT(sim.result().frames_corrupted, 0u);
   EXPECT_GT(sim.result().decode_failures, 0u);
+  EXPECT_GT(sim.result().resyncs_requested, 0u);
+}
+
+// A `sendfail` directive models a sender-edge EAGAIN. The fault layer draws
+// it on every send, so the server's transport ledger reports the failures
+// and the silently vanished frames are repaired like losses.
+TEST(ChaosTest, SendFailScheduleReportsSendFailures) {
+  auto cfg = chaos_config();
+  std::string error;
+  ASSERT_TRUE(parse_fault_schedule("sendfail 0.05\n", &cfg.faults, &error)) << error;
+  Simulation sim(cfg);
+  for (int i = 0; i < 400; ++i) sim.step_tick();
+  heal_and_quiesce(sim);
+  expect_entities_converged(sim);
+  expect_dyconit_ledger_closed(sim);
+  expect_wire_ledger_closed(sim);
+  sim.finalize();
+  EXPECT_GT(sim.result().send_failures, 0u);
   EXPECT_GT(sim.result().resyncs_requested, 0u);
 }
 
@@ -249,6 +240,7 @@ TEST(ChaosTest, PartitionAndHeal) {
   heal_and_quiesce(sim);
   expect_entities_converged(sim);
   expect_dyconit_ledger_closed(sim);
+  expect_wire_ledger_closed(sim);
   sim.finalize();
   // The cut produced real damage (refused sends or in-flight drops) and the
   // partitioned bots resynced after the heal.
@@ -264,6 +256,7 @@ TEST(ChaosTest, CrashAndRestart) {
   for (int i = 0; i < 400; ++i) sim.step_tick();
   heal_and_quiesce(sim);
   expect_entities_converged(sim);
+  expect_wire_ledger_closed(sim);
   sim.finalize();
   // The crashed subscriber came back as a fresh session on the same
   // endpoint: the server must have torn down the old session and re-joined.
@@ -288,7 +281,7 @@ TEST(ChaosTest, SameSeedAndPlanReplayByteIdentical) {
     Simulation sim(make());
     for (int i = 0; i < 400; ++i) sim.step_tick();
     hashes[run] = world_hash(sim);
-    dropped[run] = sim.network().total_dropped_frames();
+    dropped[run] = frames_dropped(sim);
   }
   EXPECT_EQ(hashes[0], hashes[1]);
   EXPECT_EQ(dropped[0], dropped[1]);
@@ -323,9 +316,10 @@ TEST(ChaosTest, ServerCrashRestartSessionsResumeByteIdentical) {
     Simulation sim(cfg);
     Outcome out;
     for (int i = 0; i < 200; ++i) sim.step_tick();  // 10 s: fleet settled
-    sim.network().crash(sim.server().endpoint());
+    const net::EndpointId srv = sim.server().endpoint();
+    sim.faults().apply_event({sim.clock().now(), net::FaultEvent::Kind::Crash, srv});
     for (int i = 0; i < 60; ++i) sim.step_tick();   // 3 s blackout
-    sim.network().restart(sim.server().endpoint());
+    sim.faults().apply_event({sim.clock().now(), net::FaultEvent::Kind::Restart, srv});
     for (int i = 0; i < 300; ++i) sim.step_tick();  // 15 s to resume
     out.hash = world_hash(sim);
     out.reconnects = sim.server().reconnects();

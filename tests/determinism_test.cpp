@@ -23,13 +23,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bots/simulation.h"
+#include "world_digest.h"
 
 namespace dyconits::bots {
 namespace {
@@ -68,46 +68,6 @@ SimulationConfig det_config(std::uint64_t seed, std::size_t ticks) {
   // deterministic inputs (DESIGN.md §9).
   cfg.deterministic_load = true;
   return cfg;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 1099511628211ull;
-}
-
-/// Order-independent digest of final game state (same scheme as the chaos
-/// suite): entities sorted by id, per-chunk digests XOR-combined.
-std::uint64_t world_digest(Simulation& sim) {
-  std::uint64_t h = 1469598103934665603ull;
-  std::vector<const entity::Entity*> ents;
-  sim.server().entities().for_each(
-      [&](const entity::Entity& e) { ents.push_back(&e); });
-  std::sort(ents.begin(), ents.end(),
-            [](const entity::Entity* a, const entity::Entity* b) { return a->id < b->id; });
-  for (const entity::Entity* e : ents) {
-    h = fnv_mix(h, e->id);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &e->pos.x, sizeof(double));
-    h = fnv_mix(h, bits);
-    std::memcpy(&bits, &e->pos.y, sizeof(double));
-    h = fnv_mix(h, bits);
-    std::memcpy(&bits, &e->pos.z, sizeof(double));
-    h = fnv_mix(h, bits);
-  }
-  std::uint64_t chunks = 0;
-  sim.world().for_each_chunk([&](const world::Chunk& c) {
-    std::uint64_t ch = 1469598103934665603ull;
-    ch = fnv_mix(ch, static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.pos().x)));
-    ch = fnv_mix(ch, static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.pos().z)));
-    for (int x = 0; x < world::kChunkSize; ++x) {
-      for (int z = 0; z < world::kChunkSize; ++z) {
-        for (int y = 0; y < 10; ++y) {  // edits happen near the ground
-          ch = fnv_mix(ch, static_cast<std::uint64_t>(c.get_local(x, y, z)));
-        }
-      }
-    }
-    chunks ^= ch;
-  });
-  return fnv_mix(h, chunks);
 }
 
 /// Everything a run must reproduce exactly from its seed.

@@ -440,8 +440,7 @@ TEST(FaultTransportTest, LossLedgerCloses) {
   rig.fi.flush_egress();
   delivered += rig.drain_b();
 
-  const net::FaultStats* fs = rig.fi.fault_stats_if_any(rig.b);
-  ASSERT_NE(fs, nullptr);
+  const net::FaultStats* fs = &rig.fi.fault_stats(rig.b);
   EXPECT_GT(fs->dropped.frames, 0u);
   EXPECT_EQ(fs->dropped.loss, fs->dropped.frames);  // only loss configured
   // Conservation: every offered frame is delivered or accounted dropped,
@@ -477,7 +476,7 @@ TEST(FaultTransportTest, ReorderHoldbackReleasesOnFlush) {
   rig.fi.flush_egress();
   EXPECT_EQ(early + rig.drain_b(), 3u);
   EXPECT_EQ(rig.fi.frames_held(), 0u);
-  EXPECT_EQ(rig.fi.fault_stats_if_any(rig.b)->reordered, 3u);
+  EXPECT_EQ(rig.fi.fault_stats(rig.b).reordered, 3u);
 }
 
 TEST(FaultTransportTest, DuplicatesReachTheInnerWireTwice) {
@@ -492,7 +491,7 @@ TEST(FaultTransportTest, DuplicatesReachTheInnerWireTwice) {
   }
   rig.fi.flush_egress();
   EXPECT_EQ(rig.drain_b(), 20u);
-  EXPECT_EQ(rig.fi.fault_stats_if_any(rig.b)->duplicated, 10u);
+  EXPECT_EQ(rig.fi.fault_stats(rig.b).duplicated, 10u);
   EXPECT_EQ(rig.inner.egress_frames(rig.a), 20u);
 }
 
@@ -545,7 +544,7 @@ TEST(FaultTransportTest, CrashWindowRefusesSendsUntilRestart) {
   rig.fi.flush_egress();
 
   EXPECT_EQ(rig.drain_b(), 2u);
-  EXPECT_EQ(rig.fi.fault_stats_if_any(rig.b)->refused, 1u);
+  EXPECT_EQ(rig.fi.fault_stats(rig.b).refused, 1u);
 }
 
 TEST(FaultTransportTest, SameSeedSameDecisionsDifferentSeedDiverges) {
@@ -583,6 +582,114 @@ TEST(FaultTransportTest, SameSeedSameDecisionsDifferentSeedDiverges) {
 
 // -- wrapper over real sockets (skipped where the environment forbids) --
 
+/// The part of the ledger the sending side decides alone: everything but
+/// `delivered`, which belongs to whoever polls the destination.
+void expect_same_injections(const net::FaultStats& x, const net::FaultStats& y) {
+  EXPECT_EQ(x.offered, y.offered);
+  EXPECT_EQ(x.offered_bytes, y.offered_bytes);
+  EXPECT_EQ(x.refused, y.refused);
+  EXPECT_EQ(x.refused_bytes, y.refused_bytes);
+  EXPECT_EQ(x.send_failed, y.send_failed);
+  EXPECT_EQ(x.send_failed_bytes, y.send_failed_bytes);
+  EXPECT_EQ(x.duplicated, y.duplicated);
+  EXPECT_EQ(x.duplicated_bytes, y.duplicated_bytes);
+  EXPECT_EQ(x.corrupted, y.corrupted);
+  EXPECT_EQ(x.reordered, y.reordered);
+  EXPECT_EQ(x.dropped.frames, y.dropped.frames);
+  EXPECT_EQ(x.dropped.bytes, y.dropped.bytes);
+  EXPECT_EQ(x.dropped.loss, y.dropped.loss);
+  EXPECT_EQ(x.dropped.disconnect, y.dropped.disconnect);
+  EXPECT_EQ(x.dropped.crash, y.dropped.crash);
+}
+
+// One fault layer for every backend: the same plan and the same offered
+// frames make the same decisions and the same ledger over the SimNetwork
+// link model and over real loopback sockets.
+TEST(FaultTransportTest, DecisionsDoNotDependOnTheBackend) {
+  Loopback lo;
+  if (!lo.ok()) GTEST_SKIP() << "no usable UDP sockets: " << lo.a->error();
+
+  SimClock sim_clock;
+  net::SimNetwork sim(sim_clock, 1);
+  net::FaultInjectingTransport fs_sim(sim, sim_clock);
+  const net::EndpointId from = fs_sim.create_endpoint("beta");
+  const net::EndpointId to = fs_sim.create_endpoint("alpha");
+  sim.connect(from, to, {SimDuration::millis(1), 0.0, true});
+  // Endpoint ids are part of the decision digest: both backends must name
+  // the pair alike.
+  ASSERT_EQ(from, lo.b_local);
+  ASSERT_EQ(to, lo.b_to_a);
+  net::FaultInjectingTransport fs_udp(*lo.b, lo.clock);
+
+  net::FaultPlan plan;
+  plan.seed = 77;
+  plan.all_links.loss = 0.2;
+  plan.all_links.duplicate = 0.1;
+  plan.all_links.corrupt = 0.1;
+  plan.all_links.reorder = 0.2;
+  plan.all_links.reorder_extra = SimDuration::millis(20);
+  plan.all_links.send_fail = 0.05;
+  const auto ms = [](std::int64_t v) { return SimTime::zero() + SimDuration::millis(v); };
+  plan.events.push_back({ms(100), net::FaultEvent::Kind::LinkDown, from, to});
+  plan.events.push_back({ms(150), net::FaultEvent::Kind::LinkUp, from, to});
+  plan.events.push_back({ms(200), net::FaultEvent::Kind::Crash, to, net::kInvalidEndpoint});
+  plan.events.push_back({ms(250), net::FaultEvent::Kind::Restart, to, net::kInvalidEndpoint});
+  fs_sim.set_fault_plan(plan);
+  fs_udp.set_fault_plan(plan);
+
+  // Only the sending side runs here, so no poll() can add drops: the
+  // ledgers hold exactly the sender's decisions.
+  const std::size_t offered = 300;
+  std::size_t received = 0, received_bytes = 0;
+  for (std::size_t i = 0; i < offered; ++i) {
+    const auto seq = static_cast<std::uint32_t>(i + 1);
+    const std::size_t len = 8 + (i * 37) % 200;
+    fs_sim.send(from, to, make_frame(static_cast<std::uint8_t>(1 + i % 20), seq, len));
+    fs_udp.send(from, to, make_frame(static_cast<std::uint8_t>(1 + i % 20), seq, len));
+    sim_clock.advance(SimDuration::millis(1));
+    lo.clock.advance(SimDuration::millis(1));
+    if ((i + 1) % 10 == 0) {
+      fs_sim.flush_egress();
+      fs_udp.flush_egress();
+    }
+    lo.a->pump(/*timeout_ms=*/0);
+    for (auto& d : lo.a->poll(lo.a_local)) {
+      ++received;
+      received_bytes += d.frame.wire_size();
+      net::BufferPool::instance().release(std::move(d.frame.payload));
+    }
+  }
+  sim_clock.advance(SimDuration::seconds(1));
+  lo.clock.advance(SimDuration::seconds(1));
+  fs_sim.flush_egress();
+  fs_udp.flush_egress();
+
+  EXPECT_EQ(fs_sim.decision_hash(), fs_udp.decision_hash());
+  EXPECT_EQ(fs_sim.frames_offered(), fs_udp.frames_offered());
+  const net::FaultStats& x = fs_sim.fault_stats(to);
+  const net::FaultStats& y = fs_udp.fault_stats(to);
+  EXPECT_GT(x.refused, 0u);
+  EXPECT_GT(x.send_failed, 0u);
+  EXPECT_GT(x.dropped.disconnect + x.dropped.crash, 0u);
+  expect_same_injections(x, y);
+
+  // Both ledgers close: the sim's copies wait in the link model's inbox,
+  // the UDP copies reach the other socket.
+  const net::Tally sim_in_flight{sim.pending_count(to), sim.pending_bytes(to)};
+  EXPECT_EQ(net::ledger_in(x), net::ledger_out(x, {}, fs_sim.held(to) + sim_in_flight));
+  const net::Tally want = net::ledger_in(y);
+  for (int spins = 0; spins < 1000; ++spins) {
+    if (net::ledger_out(y, {received, received_bytes}, fs_udp.held(to)) == want) break;
+    lo.a->pump(/*timeout_ms=*/2);
+    for (auto& d : lo.a->poll(lo.a_local)) {
+      ++received;
+      received_bytes += d.frame.wire_size();
+      net::BufferPool::instance().release(std::move(d.frame.payload));
+    }
+  }
+  EXPECT_EQ(want, net::ledger_out(y, {received, received_bytes}, fs_udp.held(to)));
+}
+
 TEST(FaultTransportTest, LoopbackChaosLedgerCloses) {
   Loopback lo;
   if (!lo.ok()) GTEST_SKIP() << "no usable UDP sockets: " << lo.a->error();
@@ -597,7 +704,7 @@ TEST(FaultTransportTest, LoopbackChaosLedgerCloses) {
   fb.set_fault_plan(plan);
 
   const std::size_t offered = 300;
-  std::size_t received = 0;
+  std::size_t received = 0, received_bytes = 0;
   for (std::size_t i = 0; i < offered; ++i) {
     ASSERT_TRUE(fb.send(lo.b_local, lo.b_to_a, make_frame(5, static_cast<std::uint32_t>(i + 1), 32)));
     if ((i + 1) % 20 == 0) {
@@ -606,6 +713,7 @@ TEST(FaultTransportTest, LoopbackChaosLedgerCloses) {
       lo.a->pump(/*timeout_ms=*/2);
       for (auto& d : lo.a->poll(lo.a_local)) {
         ++received;
+        received_bytes += d.frame.wire_size();
         net::BufferPool::instance().release(std::move(d.frame.payload));
       }
     }
@@ -617,14 +725,15 @@ TEST(FaultTransportTest, LoopbackChaosLedgerCloses) {
     bool got = false;
     for (auto& d : lo.a->poll(lo.a_local)) {
       ++received;
+      received_bytes += d.frame.wire_size();
       got = true;
       net::BufferPool::instance().release(std::move(d.frame.payload));
     }
-    const net::FaultStats* fs = fb.fault_stats_if_any(lo.b_to_a);
+    const net::FaultStats* fs = &fb.fault_stats(lo.b_to_a);
     if (!got && received == offered - fs->dropped.frames + fs->duplicated) break;
   }
 
-  const net::FaultStats* fs = fb.fault_stats_if_any(lo.b_to_a);
+  const net::FaultStats* fs = &fb.fault_stats(lo.b_to_a);
   EXPECT_GT(fs->dropped.frames, 0u);
   EXPECT_GT(fs->duplicated, 0u);
   EXPECT_EQ(fb.frames_held(), 0u);
@@ -634,6 +743,9 @@ TEST(FaultTransportTest, LoopbackChaosLedgerCloses) {
   // The inner socket never saw wrapper-dropped frames.
   EXPECT_EQ(lo.b->egress_frames(lo.b_local),
             offered - fs->dropped.frames + fs->duplicated);
+  // The ledger identity (net/faults.h), in frames and bytes, with the
+  // receiving socket's count as `delivered`.
+  EXPECT_EQ(net::ledger_in(*fs), net::ledger_out(*fs, {received, received_bytes}, {}));
 }
 
 TEST(FaultTransportTest, KeepalivesOutliveTotalAppLoss) {
@@ -718,7 +830,7 @@ TEST(FaultTransportTest, ReassemblySurvivesWrapperChaos) {
   }
   lo.clock.advance(SimDuration::seconds(1));
   fb.flush_egress();
-  const net::FaultStats* fs = fb.fault_stats_if_any(lo.b_to_a);
+  const net::FaultStats* fs = &fb.fault_stats(lo.b_to_a);
   for (int spins = 0; spins < 2000 && received < offered - fs->dropped.frames; ++spins) {
     lo.a->pump(/*timeout_ms=*/5);
     collect();
