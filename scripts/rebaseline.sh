@@ -2,12 +2,12 @@
 # Regenerates committed baselines after an *intended* change, so the diff is
 # reviewable alongside the code that caused it.
 #
-#   scripts/rebaseline.sh [build-dir]           # golden serial wire baseline
+#   scripts/rebaseline.sh [build-dir]           # golden wire baselines
 #   scripts/rebaseline.sh --bench [build-dir]   # multi-seed perf snapshot
 #
-# Default mode rewrites tests/golden/serial_wire.txt from the
-# serial flush path (see GoldenRun.SerialWireBaselineUnchanged in
-# tests/determinism_test.cpp). --bench re-runs the canonical perf tier
+# Default mode rewrites tests/golden/serial_wire.txt (serial flush path,
+# overload off) and tests/golden/overload_wire.txt (the overload ladder
+# scenario) — see GoldenRun.* in tests/determinism_test.cpp. --bench re-runs the canonical perf tier
 # (scripts/bench_snapshot.sh, DYCONITS_BENCH_RUNS seeds, default 5) and
 # rewrites the latest BENCH_<pr>.json — the baseline `scripts/verify.sh
 # bench-gate` diffs against.
@@ -34,5 +34,5 @@ cmake --build "$build" -j "$jobs" --target determinism_test
 
 DYCONITS_REBASELINE=1 "$build/tests/determinism_test" --gtest_filter='GoldenRun.*'
 
-echo "rebaseline: wrote tests/golden/serial_wire.txt"
-git --no-pager diff --stat -- tests/golden/serial_wire.txt || true
+echo "rebaseline: wrote tests/golden/serial_wire.txt tests/golden/overload_wire.txt"
+git --no-pager diff --stat -- tests/golden/ || true

@@ -29,63 +29,25 @@ void account_flush(const PendingFlush& p, SimTime now, Stats& stats) {
 
 bool SubscriberQueue::enqueue(const Update& u) {
   total_weight_ += u.weight;
-  if (u.coalesce_key != 0) {
-    const auto it = by_key_.find(u.coalesce_key);
-    if (it != by_key_.end()) {
-      // Last write wins: replace the payload in place, keep the original
-      // position and creation time, accumulate the weight.
-      Update& slot = updates_[it->second];
-      slot.msg = u.msg;
-      slot.weight += u.weight;
-      return true;
-    }
-    by_key_.emplace(u.coalesce_key, updates_.size());
+  if (Update* slot = q_.find(u.coalesce_key)) {
+    // Last write wins: replace the payload in place, keep the original
+    // position and creation time, accumulate the weight.
+    slot->msg = u.msg;
+    slot->weight += u.weight;
+    return true;
   }
-  updates_.push_back(u);
+  q_.push(u);
   return false;
 }
 
-std::vector<Update> SubscriberQueue::take_all() {
-  std::vector<Update> out = std::move(updates_);
-  updates_.clear();
-  by_key_.clear();
-  total_weight_ = 0.0;
-  return out;
-}
-
-void SubscriberQueue::take_into(std::vector<Update>& out) {
-  out.clear();
-  out.swap(updates_);  // queue inherits out's old capacity; contents unchanged
-  by_key_.clear();
-  total_weight_ = 0.0;
-}
-
-void SubscriberQueue::drop_all() {
-  updates_.clear();
-  by_key_.clear();
-  total_weight_ = 0.0;
-}
-
 std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
-  // Compacts survivors to the front in place: the queue keeps its storage,
-  // so shedding every tick while the ladder sits at Shed allocates nothing.
-  std::size_t kept = 0;
   double removed_weight = 0.0;
-  for (std::size_t i = 0; i < updates_.size(); ++i) {
-    if ((updates_[i].coalesce_key >> 56) == 1) {
-      removed_weight += updates_[i].weight;
-    } else {
-      if (kept != i) updates_[kept] = std::move(updates_[i]);
-      ++kept;
-    }
-  }
-  const std::size_t removed = updates_.size() - kept;
+  const std::size_t removed = q_.remove_if([&](const Update& u) {
+    if (!is_entity_move_key(u.coalesce_key)) return false;
+    removed_weight += u.weight;
+    return true;
+  });
   if (removed == 0) return 0;
-  updates_.erase(updates_.begin() + static_cast<std::ptrdiff_t>(kept), updates_.end());
-  by_key_.clear();
-  for (std::size_t i = 0; i < updates_.size(); ++i) {
-    if (updates_[i].coalesce_key != 0) by_key_.emplace(updates_[i].coalesce_key, i);
-  }
   total_weight_ -= removed_weight;
   if (weight != nullptr) *weight += removed_weight;
   return removed;
@@ -242,7 +204,7 @@ void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
   PendingFlush p;
   p.kind = PendingFlush::Kind::Flush;
   p.reason = reason;
-  p.updates = it->second.queue.take_all();
+  it->second.queue.take_into(p.updates);
   settle(sub, p, now, sink, stats);
 }
 

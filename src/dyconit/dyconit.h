@@ -10,6 +10,7 @@
 #include "dyconit/bounds.h"
 #include "dyconit/id.h"
 #include "dyconit/update.h"
+#include "util/coalescing_queue.h"
 
 namespace dyconits::dyconit {
 
@@ -113,20 +114,23 @@ struct PendingFlush {
   }
 };
 
-/// Insertion-ordered outgoing queue with in-place coalescing.
+/// One subscriber's outgoing updates: the shared util::CoalescingQueue plus
+/// the dyconit policy on top — the weight sum and the bound check.
 class SubscriberQueue {
  public:
+  using Queue = util::CoalescingQueue<Update, &Update::coalesce_key>;
+
   /// Returns true if the update was coalesced into an existing entry.
   bool enqueue(const Update& u);
 
-  bool empty() const { return updates_.empty(); }
-  std::size_t size() const { return updates_.size(); }
+  bool empty() const { return q_.empty(); }
+  std::size_t size() const { return q_.size(); }
   double total_weight() const { return total_weight_; }
 
   /// Age-of-oldest entry; only meaningful when !empty(). Entries keep their
   /// first-enqueue timestamp across coalescing, and enqueue times are
   /// monotone, so the front entry is the oldest.
-  SimTime oldest_created() const { return updates_.front().created; }
+  SimTime oldest_created() const { return q_.front().created; }
 
   bool violates(const Bounds& b, SimTime now) const {
     if (empty()) return false;
@@ -139,30 +143,30 @@ class SubscriberQueue {
                                                    : FlushReason::Numerical;
   }
 
-  /// Moves out all queued updates in enqueue order and resets the queue.
-  std::vector<Update> take_all();
-
-  /// take_all without the allocation: swaps the queue's storage into `out`
-  /// (cleared first, capacity kept), so in steady state a flush round
-  /// recycles vector capacity between the queue and the caller's scratch
-  /// instead of allocating per flush. Contents and order are identical to
-  /// take_all.
-  void take_into(std::vector<Update>& out);
+  /// Moves out all queued updates in enqueue order into `out` (cleared
+  /// first) and resets the queue, swapping storage with `out` so a flush
+  /// round recycles vector capacity instead of allocating per flush.
+  void take_into(std::vector<Update>& out) {
+    q_.take_into(out);
+    total_weight_ = 0.0;
+  }
 
   /// Discards everything queued (snapshot catch-up) without surrendering
   /// the queue's storage.
-  void drop_all();
+  void drop_all() {
+    q_.clear();
+    total_weight_ = 0.0;
+  }
 
-  /// Overload shedding: removes every queued entity-move update (coalesce
-  /// key namespace 1), preserving the order of survivors. Returns how many
-  /// were removed and adds their total weight to *weight.
+  /// Overload shedding: removes every queued entity move
+  /// (is_entity_move_key), preserving the order of survivors. Returns how
+  /// many were removed and adds their total weight to *weight.
   std::size_t shed_entity_moves(double* weight);
 
-  const std::vector<Update>& peek() const { return updates_; }
+  const Queue& peek() const { return q_; }
 
  private:
-  std::vector<Update> updates_;
-  std::unordered_map<std::uint64_t, std::size_t> by_key_;  // coalesce_key -> index
+  Queue q_;
   double total_weight_ = 0.0;
 };
 

@@ -36,6 +36,10 @@ struct Update {
 inline std::uint64_t coalesce_key_entity(std::uint32_t entity_id) {
   return (1ull << 56) | entity_id;
 }
+/// True for keys built by coalesce_key_entity. A queued entity move is
+/// absolute state the next move supersedes, so overload control may shed or
+/// evict it.
+inline bool is_entity_move_key(std::uint64_t key) { return (key >> 56) == 1; }
 inline std::uint64_t coalesce_key_block(const world::BlockPos& p) {
   const std::uint64_t x = static_cast<std::uint32_t>(p.x);
   const std::uint64_t z = static_cast<std::uint32_t>(p.z);

@@ -303,10 +303,6 @@ std::uint64_t FaultInjectingTransport::ingress_frames(EndpointId id) const {
   return inner_.ingress_frames(id);
 }
 
-bool FaultInjectingTransport::has_backlog_signal() const {
-  return inner_.has_backlog_signal() || plan_.all_links.send_fail > 0.0;
-}
-
 std::uint64_t FaultInjectingTransport::pending_bytes(EndpointId to) const {
   std::uint64_t injected = 0;
   if (const auto it = congested_bytes_.find(to); it != congested_bytes_.end())

@@ -85,14 +85,12 @@ class FaultInjectingTransport final : public Transport {
   std::uint64_t ingress_frames(EndpointId id) const override;
 
   // -- Capabilities --
-  bool has_backlog_signal() const override;
   std::uint64_t pending_bytes(EndpointId to) const override;
   /// The ledger for frames addressed to `id` (see faults.h).
   const FaultStats& fault_stats(EndpointId id) const { return stats_[id]; }
   /// Releases due reordered frames, decays the injected-congestion
   /// estimate, then flushes the inner transport.
   void flush_egress() override;
-  bool has_send_pressure() const override { return true; }
   SendPressure send_pressure(EndpointId to) const override;
 
   // -- Introspection (tests, e16, the e2e-chaos-udp determinism check) --

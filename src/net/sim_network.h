@@ -97,7 +97,6 @@ class SimNetwork final : public Transport {
   /// signal the server's overload controller reads: a subscriber whose
   /// inbox bytes keep growing is not draining its downlink. The sim owns
   /// both ends of the wire, so this is a real signal here.
-  bool has_backlog_signal() const override { return true; }
   std::uint64_t pending_bytes(EndpointId to) const override;
   /// Wire bytes `to` has polled out of its inbox so far.
   std::uint64_t polled_bytes(EndpointId to) const;

@@ -6,9 +6,9 @@
 // processes) implement it. The contract is deliberately the *application*
 // view of a network: framed messages in, framed deliveries out, per-
 // endpoint byte accounting — no link model, no fault injection, no
-// sockets. Capabilities that only some backends have (a backpressure
-// signal, send pressure) are optional queries so callers degrade
-// gracefully instead of assuming the sim (DESIGN.md §12).
+// sockets. Signals only some backends have (backpressure, send pressure)
+// are virtuals with neutral defaults, so callers read them unconditionally
+// and degrade gracefully instead of assuming the sim (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -112,22 +112,15 @@ class Transport {
 
   // -- Optional capabilities (DESIGN.md §12) --
   //
-  // The server's overload controller reads remote-inbox backpressure,
-  // observable only when the backend owns both ends of the wire (the sim).
-  // Backends without a capability return the documented neutral value and
-  // the caller degrades: overload control falls back to its local
-  // egress-queue signal.
+  // A backend that cannot observe a signal keeps the neutral default, and
+  // overload control runs on what the server owns: staged egress bytes and
+  // its tick cost.
 
-  /// True iff pending_bytes() is a real backpressure signal. The sim owns
-  /// both ends of the wire and reports the remote inbox; UdpTransport cannot
-  /// see the remote socket buffer but reports a *local* congestion signal
-  /// (staged bytes plus a decaying estimate of bytes that failed to send),
-  /// which feeds the same overload machinery. Backends with neither report
-  /// false and the server's backlog detection uses only its own staged
-  /// egress bytes.
-  virtual bool has_backlog_signal() const { return false; }
-  /// Wire bytes enqueued for `to` but not yet polled; 0 when the backend
-  /// has no visibility (see has_backlog_signal()).
+  /// Backpressure toward `to`, in wire bytes; 0 without visibility. The sim
+  /// owns both ends of the wire and reports the remote inbox (enqueued, not
+  /// yet polled); UdpTransport cannot see the remote socket buffer but
+  /// reports a *local* congestion signal (staged bytes plus a decaying
+  /// estimate of bytes that failed to send).
   virtual std::uint64_t pending_bytes(EndpointId to) const {
     (void)to;
     return 0;
@@ -138,16 +131,11 @@ class Transport {
   /// frames here (call once per tick).
   virtual void flush_egress() {}
 
-  /// True iff send_pressure() reports real numbers: the backend can fail to
-  /// put bytes on the wire (EAGAIN, full socket buffer, injected send
-  /// faults) and counts those failures. The sim wire never refuses a send,
-  /// so it reports false; UdpTransport and FaultInjectingTransport report
-  /// true. GameServer folds the congested-byte estimate into its modeled
-  /// tick cost so real socket saturation climbs the degradation ladder.
-  virtual bool has_send_pressure() const { return false; }
   /// Per-destination send-failure counters (see SendPressure); all-zero on
-  /// backends without send visibility. Pass kInvalidEndpoint for the
-  /// transport-wide totals.
+  /// the sim, whose wire never refuses a send. UdpTransport and
+  /// FaultInjectingTransport count EAGAIN / injected send faults, which
+  /// GameServer charges to its modeled tick cost so real socket saturation
+  /// climbs the degradation ladder. Pass kInvalidEndpoint for the totals.
   virtual SendPressure send_pressure(EndpointId to) const {
     (void)to;
     return {};

@@ -129,9 +129,7 @@ class UdpTransport final : public Transport {
   /// decaying estimate of bytes whose datagrams failed to send. That local
   /// signal feeds GameServer's backlog detection the same way the sim's
   /// remote-inbox signal does (DESIGN.md §13).
-  bool has_backlog_signal() const override { return true; }
   std::uint64_t pending_bytes(EndpointId to) const override;
-  bool has_send_pressure() const override { return true; }
   SendPressure send_pressure(EndpointId to) const override;
 
  private:

@@ -313,7 +313,7 @@ void GameServer::handle_message(Session& s, const protocol::AnyMessage& m) {
     const protocol::AnyMessage out{protocol::ChatBroadcast{s.entity, chat->text}};
     net::SharedFrame shared;
     const SimTime now = clock_.now();
-    for (auto& [id, other] : sessions_) send_or_queue_shared(other, out, shared, now);
+    for (auto& [id, other] : sessions_) send_or_queue(other, out, now, &shared);
   } else if (std::get_if<protocol::ResyncRequest>(&m) != nullptr) {
     begin_resync(s);
   } else if (const auto* barrier = std::get_if<protocol::TickBarrier>(&m)) {
@@ -460,7 +460,7 @@ void GameServer::on_block_change(const world::BlockChange& change) {
   const SimTime now = clock_.now();
   for (const SubscriberId sub : it->second) {
     if (sub == current_actor_) continue;
-    if (Session* s = session_of(sub)) send_or_queue_shared(*s, out, shared, now);
+    if (Session* s = session_of(sub)) send_or_queue(*s, out, now, &shared);
   }
 }
 
@@ -500,7 +500,7 @@ void GameServer::dispatch_entity_move(const Entity& e, double weight) {
     if (sub == own) continue;
     Session* s = session_of(sub);
     if (s != nullptr && s->known_entities.count(e.id) > 0) {
-      send_or_queue_shared(*s, out, shared, now);
+      send_or_queue(*s, out, now, &shared);
     }
   }
 }
@@ -617,7 +617,7 @@ void GameServer::entity_crossed_chunk(Entity& e, ChunkPos from, ChunkPos to) {
       if (new_viewers != nullptr && new_viewers->count(sub) > 0) continue;
       Session* s = session_of(sub);
       if (s != nullptr && s->entity != e.id && s->known_entities.erase(e.id) > 0) {
-        send_or_queue_shared(*s, despawn, shared);
+        send_or_queue(*s, despawn, {}, &shared);
       }
     }
   }
@@ -629,7 +629,7 @@ void GameServer::entity_crossed_chunk(Entity& e, ChunkPos from, ChunkPos to) {
       if (old_viewers != nullptr && old_viewers->count(sub) > 0) continue;
       Session* s = session_of(sub);
       if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id).second) {
-        send_or_queue_shared(*s, spawn, shared);
+        send_or_queue(*s, spawn, {}, &shared);
       }
     }
   }
@@ -687,7 +687,7 @@ void GameServer::send_keepalives() {
     }
     ++s.keepalive_pending;
     s.keepalive_sent_at = clock_.now();
-    send_or_queue_shared(s, keepalive, shared);
+    send_or_queue(s, keepalive, {}, &shared);
     ++keepalives_sent_;
   }
   for (const SubscriberId id : timed_out) {
@@ -821,7 +821,7 @@ void GameServer::despawn_entity_everywhere(EntityId id, ChunkPos chunk) {
   for (const SubscriberId sub : vit->second) {
     Session* s = session_of(sub);
     if (s != nullptr && s->known_entities.erase(id) > 0) {
-      send_or_queue_shared(*s, msg, shared);
+      send_or_queue(*s, msg, {}, &shared);
     }
   }
 }
@@ -835,7 +835,7 @@ void GameServer::announce_spawn(const Entity& e) {
   for (const SubscriberId sub : vit->second) {
     Session* s = session_of(sub);
     if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id).second) {
-      send_or_queue_shared(*s, msg, shared);
+      send_or_queue(*s, msg, {}, &shared);
     }
   }
 }
@@ -950,16 +950,9 @@ void GameServer::tick_overload() {
   ids.reserve(sessions_.size());
   for (auto& [id, s] : sessions_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
-  // Backpressure visibility is a capability (DESIGN.md §12): the sim
-  // reports the remote inbox, UDP reports its own staged + congested bytes
-  // toward the peer (DESIGN.md §13). Backends with neither degrade to the
-  // staged egress bytes the server owns.
-  const bool inbox_visible = net_.has_backlog_signal();
   for (const SubscriberId id : ids) {
     Session& s = sessions_.at(id);
-    const std::size_t inbox = inbox_visible ? net_.pending_bytes(s.endpoint) : 0;
-    const std::size_t backlog = inbox + s.egress.bytes();
-    s.backlogged = backlog > cfg_.overload.backlog_threshold_bytes;
+    s.backlogged = backlog_bytes(s) > cfg_.overload.backlog_threshold_bytes;
     // Drain only while the transport inbox has recovered: pushing staged
     // frames into a still-full inbox would just move the backlog back.
     if (!s.backlogged && !s.egress.empty()) drain_egress(s);
@@ -975,20 +968,18 @@ void GameServer::overload_watchdog() {
   // fail) and in steady state (the estimate decays), so existing ladder
   // behavior is untouched.
   SimDuration ladder_cost = last_tick_cpu_;
-  if (net_.has_send_pressure()) {
-    const net::SendPressure p = net_.send_pressure(net::kInvalidEndpoint);
-    if (p.congested_bytes > 0) {
-      ladder_cost += SimDuration::micros(static_cast<std::int64_t>(
-          static_cast<double>(p.congested_bytes) * cfg_.net_cost_per_byte_ns / 1000.0));
-    }
-    // Refused sends are charged at the per-frame rate too: with small
-    // frames the per-frame cost dominates the model, and pricing stuck
-    // bytes alone would hide a saturated socket behind ordinary load noise.
-    if (p.congested_frames > 0) {
-      ladder_cost += SimDuration::micros(
-          static_cast<std::int64_t>(p.congested_frames) *
-          cfg_.net_cost_per_frame.count_micros());
-    }
+  const net::SendPressure p = net_.send_pressure(net::kInvalidEndpoint);
+  if (p.congested_bytes > 0) {
+    ladder_cost += SimDuration::micros(static_cast<std::int64_t>(
+        static_cast<double>(p.congested_bytes) * cfg_.net_cost_per_byte_ns / 1000.0));
+  }
+  // Refused sends are charged at the per-frame rate too: with small
+  // frames the per-frame cost dominates the model, and pricing stuck
+  // bytes alone would hide a saturated socket behind ordinary load noise.
+  if (p.congested_frames > 0) {
+    ladder_cost += SimDuration::micros(
+        static_cast<std::int64_t>(p.congested_frames) *
+        cfg_.net_cost_per_frame.count_micros());
   }
   const int before = ladder_.rung();
   if (ladder_.on_tick(ladder_cost, cfg_.tick_interval, cfg_.overload)) {
@@ -1026,10 +1017,8 @@ void GameServer::overload_watchdog() {
           cfg_.overload.disconnect_interval_ticks) {
     SubscriberId worst = dyconit::kNoSubscriber;
     std::size_t worst_score = 0;
-    const bool inbox_visible = net_.has_backlog_signal();
     for (auto& [id, s] : sessions_) {
-      const std::size_t score =
-          (inbox_visible ? net_.pending_bytes(s.endpoint) : 0) + s.egress.bytes();
+      const std::size_t score = backlog_bytes(s);
       if (score == 0) continue;
       if (worst == dyconit::kNoSubscriber || score > worst_score ||
           (score == worst_score && id < worst)) {
@@ -1062,29 +1051,14 @@ void GameServer::apply_overload_bounds() {
 }
 
 void GameServer::send_or_queue(Session& s, const protocol::AnyMessage& m,
-                               SimTime trace_origin) {
+                               SimTime trace_origin, net::SharedFrame* shared) {
   // Pass-through until the session is backlogged or has staged frames;
-  // after that everything appends so relative order is preserved.
+  // after that everything appends so relative order is preserved. A
+  // diverted message is staged in message form (the queue coalesces
+  // messages, not frames) and encoded at drain time, so the wire bytes are
+  // identical either way.
   if (!cfg_.overload.enabled || (!s.backlogged && s.egress.empty())) {
-    send_to(s, m, trace_origin);
-    return;
-  }
-  enqueue_egress(s, m, trace_origin);
-}
-
-void GameServer::send_or_queue_shared(Session& s, const protocol::AnyMessage& m,
-                                      net::SharedFrame& shared,
-                                      SimTime trace_origin) {
-  // Fast path mirrors send_or_queue/send_to, but the payload is serialized
-  // once per broadcast: the first pass-through recipient encodes, later ones
-  // stamp their own seq onto a copy of the shared bytes. A diverted
-  // recipient stages the message form (its frame is encoded at drain time),
-  // so wire bytes are identical either way.
-  if (!cfg_.overload.enabled || (!s.backlogged && s.egress.empty())) {
-    TRACE_SCOPE("server.serialize_send");
-    if (!shared.valid()) shared = protocol::encode_shared(m);
-    if (cfg_.hash_streams) s.egress_hash.mix(shared.tag(), shared.payload());
-    net_.send(endpoint_, s.endpoint, shared.instance(++s.out_seq, trace_origin));
+    send_to(s, m, trace_origin, shared);
     return;
   }
   enqueue_egress(s, m, trace_origin);
@@ -1095,16 +1069,13 @@ void GameServer::enqueue_egress(Session& s, const protocol::AnyMessage& m,
   // Batch frames decompose into atomic updates so coalescing is a per-key
   // replace; drain_egress regroups consecutive runs back into batches.
   if (const auto* batch = std::get_if<protocol::EntityMoveBatch>(&m)) {
-    for (const protocol::EntityMove& mv : batch->moves) {
-      enqueue_egress_atomic(s, mv, origin, dyconit::coalesce_key_entity(mv.id));
-    }
+    for (const protocol::EntityMove& mv : batch->moves) enqueue_egress(s, mv, origin);
     return;
   }
   if (const auto* mbc = std::get_if<protocol::MultiBlockChange>(&m)) {
     for (const auto& e : mbc->entries) {
       const world::BlockPos pos{mbc->chunk.x * 16 + e.x, e.y, mbc->chunk.z * 16 + e.z};
-      enqueue_egress_atomic(s, protocol::BlockChange{pos, e.block}, origin,
-                            dyconit::coalesce_key_block(pos));
+      enqueue_egress(s, protocol::BlockChange{pos, e.block}, origin);
     }
     return;
   }
@@ -1114,11 +1085,6 @@ void GameServer::enqueue_egress(Session& s, const protocol::AnyMessage& m,
   } else if (const auto* bc = std::get_if<protocol::BlockChange>(&m)) {
     key = dyconit::coalesce_key_block(bc->pos);
   }
-  enqueue_egress_atomic(s, m, origin, key);
-}
-
-void GameServer::enqueue_egress_atomic(Session& s, const protocol::AnyMessage& m,
-                                       SimTime origin, std::uint64_t key) {
   // Byte accounting uses the exact sizing visitor (no trial encode) plus a
   // worst-case sequence varint (4 bytes wider than wire_size_of's seq 0),
   // so the cap is conservative with respect to actual wire bytes.
@@ -1216,8 +1182,18 @@ std::size_t GameServer::egress_queue_frames(SubscriberId sub) const {
 
 // ----------------------------------------------------------------- helpers
 
-void GameServer::send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin) {
+void GameServer::send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin,
+                         net::SharedFrame* shared) {
   TRACE_SCOPE("server.serialize_send");
+  if (shared != nullptr) {
+    // Broadcast fan-out (DESIGN.md §11): the payload is serialized once per
+    // broadcast; the first recipient encodes, later ones stamp their own
+    // seq onto a copy of the shared bytes.
+    if (!shared->valid()) *shared = protocol::encode_shared(m);
+    if (cfg_.hash_streams) s.egress_hash.mix(shared->tag(), shared->payload());
+    net_.send(endpoint_, s.endpoint, shared->instance(++s.out_seq, trace_origin));
+    return;
+  }
   net::Frame frame = protocol::encode(m);
   if (cfg_.hash_streams) s.egress_hash.mix(frame);  // pre-seq: backend-neutral
   frame.seq = ++s.out_seq;  // transport sequence; clients detect gaps
@@ -1305,7 +1281,7 @@ void GameServer::disconnect(SubscriberId sub) {
       for (const SubscriberId other_id : vit->second) {
         Session* other = session_of(other_id);
         if (other != nullptr && other->known_entities.erase(e->id) > 0) {
-          send_or_queue_shared(*other, despawn, shared);
+          send_or_queue(*other, despawn, {}, &shared);
         }
       }
     }

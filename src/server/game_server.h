@@ -144,8 +144,7 @@ class GameServer final : public dyconit::FlushSink {
   /// send visibility, i.e. the sim). Surfaces the EAGAIN/retry/congestion
   /// ledger the UDP path keeps per peer (DESIGN.md §13).
   net::SendPressure transport_pressure() const {
-    return net_.has_send_pressure() ? net_.send_pressure(net::kInvalidEndpoint)
-                                    : net::SendPressure{};
+    return net_.send_pressure(net::kInvalidEndpoint);
   }
   /// Current degradation-ladder rung (0 = Normal).
   int overload_rung() const { return ladder_.rung(); }
@@ -227,6 +226,12 @@ class GameServer final : public dyconit::FlushSink {
   /// by OverloadConfig::widen_factor (rung >= WidenBounds). Runs before
   /// the resync re-pin so resync still wins.
   void apply_overload_bounds();
+  /// The per-subscriber overload signal: the transport's backlog toward the
+  /// session (Transport::pending_bytes; 0 on backends without visibility)
+  /// plus the bytes staged in its egress queue.
+  std::size_t backlog_bytes(const Session& s) const {
+    return net_.pending_bytes(s.endpoint) + s.egress.bytes();
+  }
   /// Very last sends of a tick: TickBarrierAck to every session whose
   /// barrier this tick consumed, in ascending session id. On an in-order
   /// transport, a client that has seen ack N owns the complete tick-N
@@ -263,27 +268,22 @@ class GameServer final : public dyconit::FlushSink {
   // -- sending --
   /// Flushes due dyconit queues; deliver() packs each batch onto the wire.
   void flush_dyconits();
-  void send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin = {});
+  /// Encodes `m` and puts it on the wire. With `shared` (a broadcast
+  /// fan-out, DESIGN.md §11) the first recipient encodes `m` once into it
+  /// and later recipients only stamp their session seq onto a copy of the
+  /// shared payload; callers keep one SharedFrame per fan-out loop.
+  void send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin = {},
+               net::SharedFrame* shared = nullptr);
   /// The overload-aware send gate every session-directed message goes
   /// through: a pass-through to send_to until the session is backlogged or
   /// already has staged frames, after which messages divert into the capped
   /// egress queue (with coalescing). With overload disabled it compiles
   /// down to send_to and the wire output is unchanged.
   void send_or_queue(Session& s, const protocol::AnyMessage& m,
-                     SimTime trace_origin = {});
-  /// send_or_queue for broadcast fan-outs (DESIGN.md §11): the first
-  /// recipient on the fast path encodes `m` once into `shared`; later
-  /// recipients only stamp their session seq onto a copy of the shared
-  /// payload. Callers keep one SharedFrame per fan-out loop. Recipients
-  /// that divert to the egress queue still stage the message form (the
-  /// queue coalesces messages, not frames), exactly like send_or_queue —
-  /// the wire bytes are identical either way.
-  void send_or_queue_shared(Session& s, const protocol::AnyMessage& m,
-                            net::SharedFrame& shared, SimTime trace_origin = {});
-  /// Decomposes batch messages into atomic ones and stages them.
+                     SimTime trace_origin = {}, net::SharedFrame* shared = nullptr);
+  /// Stages `m` in the egress queue, batch messages decomposed into atomic
+  /// ones so coalescing is a per-key replace.
   void enqueue_egress(Session& s, const protocol::AnyMessage& m, SimTime origin);
-  void enqueue_egress_atomic(Session& s, const protocol::AnyMessage& m,
-                             SimTime origin, std::uint64_t key);
   /// Re-sends staged frames (oldest first) within the drain budget,
   /// regrouping consecutive moves / same-chunk block ops into batch frames.
   void drain_egress(Session& s);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <variant>
 
+#include "dyconit/update.h"
+
 namespace dyconits::server {
 
 const char* ladder_rung_name(int rung) {
@@ -76,34 +78,21 @@ bool EgressQueue::fits(std::size_t incoming_bytes, std::size_t incoming_frames,
 
 void EgressQueue::evict_moves(std::size_t incoming_bytes, const OverloadConfig& cfg,
                               OverloadStats& stats) {
-  std::vector<Item> kept;
-  kept.reserve(frames());
-  std::size_t new_bytes = bytes_;
+  // One front-to-back pass: while the queue (less what is already evicted)
+  // is over a cap, each move met is dropped; once it fits, the rest stay.
   std::size_t remaining = frames();
-  std::uint64_t evicted = 0;
-  for (std::size_t i = head_; i < items_.size(); ++i) {
-    Item& it = items_[i];
+  stats.egress_evicted_moves += q_.remove_if([&](const Item& it) {
     const bool over_bytes =
-        cfg.queue_cap_bytes > 0 && new_bytes + incoming_bytes > cfg.queue_cap_bytes;
+        cfg.queue_cap_bytes > 0 && bytes_ + incoming_bytes > cfg.queue_cap_bytes;
     const bool over_frames =
         cfg.queue_cap_frames > 0 && remaining + 1 > cfg.queue_cap_frames;
-    const bool is_move = (it.key >> 56) == 1;
-    if ((over_bytes || over_frames) && is_move) {
-      new_bytes -= it.bytes;
-      --remaining;
-      ++evicted;
-      continue;
+    if (!(over_bytes || over_frames) || !dyconit::is_entity_move_key(it.key)) {
+      return false;
     }
-    kept.push_back(std::move(it));
-  }
-  items_ = std::move(kept);
-  head_ = 0;
-  bytes_ = new_bytes;
-  by_key_.clear();
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (items_[i].key != 0) by_key_[items_[i].key] = i;
-  }
-  stats.egress_evicted_moves += evicted;
+    bytes_ -= it.bytes;
+    --remaining;
+    return true;
+  });
 }
 
 EgressQueue::PushResult EgressQueue::push(const protocol::AnyMessage& m,
@@ -111,21 +100,17 @@ EgressQueue::PushResult EgressQueue::push(const protocol::AnyMessage& m,
                                           std::size_t bytes,
                                           const OverloadConfig& cfg,
                                           OverloadStats& stats) {
-  if (key != 0) {
-    const auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
-      Item& slot = items_[it->second];
-      bytes_ -= slot.bytes;
-      bytes_ += bytes;
-      slot.msg = m;  // newest state wins; origin stays the oldest constituent
-      slot.bytes = bytes;
-      ++stats.egress_coalesced;
-      // A replace can grow the slot by a few bytes (varint widths); keep
-      // the hard cap honest by evicting moves if it pushed us over.
-      if (!fits(0, 0, cfg)) evict_moves(0, cfg, stats);
-      stats.peak_queue_bytes = std::max(stats.peak_queue_bytes, bytes_);
-      return PushResult::Coalesced;
-    }
+  if (Item* slot = q_.find(key)) {
+    bytes_ -= slot->bytes;
+    bytes_ += bytes;
+    slot->msg = m;  // newest state wins; origin stays the oldest constituent
+    slot->bytes = bytes;
+    ++stats.egress_coalesced;
+    // A replace can grow the slot by a few bytes (varint widths); keep
+    // the hard cap honest by evicting moves if it pushed us over.
+    if (!fits(0, 0, cfg)) evict_moves(0, cfg, stats);
+    stats.peak_queue_bytes = std::max(stats.peak_queue_bytes, bytes_);
+    return PushResult::Coalesced;
   }
   if (!fits(bytes, 1, cfg)) evict_moves(bytes, cfg, stats);
   if (!fits(bytes, 1, cfg)) {
@@ -142,37 +127,11 @@ EgressQueue::PushResult EgressQueue::push(const protocol::AnyMessage& m,
     ++stats.egress_dropped_ordered;
     return PushResult::DroppedPoison;
   }
-  if (key != 0) by_key_[key] = items_.size();
-  items_.push_back(Item{m, origin, key, bytes});
+  q_.push(Item{m, origin, key, bytes});
   bytes_ += bytes;
   ++stats.egress_queued;
   stats.peak_queue_bytes = std::max(stats.peak_queue_bytes, bytes_);
   return PushResult::Queued;
-}
-
-EgressQueue::Item EgressQueue::pop_front() {
-  Item out = std::move(items_[head_]);
-  if (out.key != 0) by_key_.erase(out.key);
-  bytes_ -= out.bytes;
-  ++head_;
-  compact();
-  return out;
-}
-
-std::size_t EgressQueue::clear() {
-  const std::size_t n = frames();
-  items_.clear();
-  by_key_.clear();
-  head_ = 0;
-  bytes_ = 0;
-  return n;
-}
-
-void EgressQueue::compact() {
-  if (head_ < 128 || head_ * 2 < items_.size()) return;
-  items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
-  for (auto& [key, idx] : by_key_) idx -= head_;
-  head_ = 0;
 }
 
 }  // namespace dyconits::server

@@ -3,9 +3,10 @@
 //
 //  * EgressQueue — a per-subscriber capped staging queue between the game
 //    and the transport. A slow subscriber stops receiving wire frames and
-//    accumulates (coalesced) state here instead, so neither the SimNetwork
+//    accumulates (coalesced) state here instead, so neither the transport
 //    inbox nor server memory grows without bound. Superseded updates
-//    coalesce in place (newest entity position wins, block ops merge);
+//    coalesce in place (newest entity position wins, block ops merge) in
+//    the same util::CoalescingQueue the dyconit SubscriberQueue uses;
 //    overflow evicts entity moves oldest-first (absolute state — the next
 //    move supersedes them), defers chunk payloads back to the chunk
 //    streamer, and as a last resort poisons the session for a
@@ -23,10 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "protocol/messages.h"
+#include "util/coalescing_queue.h"
 #include "util/sim_time.h"
 
 namespace dyconits::server {
@@ -41,10 +41,11 @@ struct OverloadConfig {
   std::size_t queue_cap_bytes = 64 * 1024;
   std::size_t queue_cap_frames = 2048;
 
-  /// Backpressure: a subscriber whose transport inbox (SimNetwork
-  /// pending_bytes) plus staged egress bytes exceed this is "backlogged" —
-  /// its sends divert into the capped egress queue instead of growing the
-  /// inbox. The threshold should sit comfortably below queue_cap_bytes.
+  /// Backpressure: a subscriber whose transport backlog
+  /// (Transport::pending_bytes) plus staged egress bytes exceed this is
+  /// "backlogged" — its sends divert into the capped egress queue instead
+  /// of growing the inbox. The threshold should sit comfortably below
+  /// queue_cap_bytes.
   std::size_t backlog_threshold_bytes = 24 * 1024;
 
   /// Per-tick drain budget once a subscriber's inbox falls back under the
@@ -151,11 +152,11 @@ class DegradationLadder {
   std::uint64_t transitions_ = 0;
 };
 
-/// Capped, coalescing staging queue for one subscriber. Holds *atomic*
-/// messages (EntityMoveBatch / MultiBlockChange are decomposed by the
-/// caller) so coalescing is a per-key replace, exactly like the dyconit
-/// SubscriberQueue; the drain path re-groups consecutive runs back into
-/// batch frames.
+/// Capped, coalescing staging queue for one subscriber: util::CoalescingQueue
+/// plus the egress policy (byte and frame caps, the overflow ladder, move
+/// eviction). Holds *atomic* messages (EntityMoveBatch / MultiBlockChange
+/// are decomposed by the caller) so coalescing is a per-key replace; the
+/// drain path re-groups consecutive runs back into batch frames.
 class EgressQueue {
  public:
   struct Item {
@@ -177,26 +178,32 @@ class EgressQueue {
   PushResult push(const protocol::AnyMessage& m, SimTime origin, std::uint64_t key,
                   std::size_t bytes, const OverloadConfig& cfg, OverloadStats& stats);
 
-  bool empty() const { return head_ == items_.size(); }
-  std::size_t frames() const { return items_.size() - head_; }
+  bool empty() const { return q_.empty(); }
+  std::size_t frames() const { return q_.size(); }
   std::size_t bytes() const { return bytes_; }
-  const Item& front() const { return items_[head_]; }
-  Item pop_front();
+  const Item& front() const { return q_.front(); }
+  Item pop_front() {
+    Item out = q_.pop_front();
+    bytes_ -= out.bytes;
+    return out;
+  }
   /// Drops everything (session teardown); returns how many items died.
-  std::size_t clear();
+  std::size_t clear() {
+    const std::size_t n = frames();
+    q_.clear();
+    bytes_ = 0;
+    return n;
+  }
 
  private:
   bool fits(std::size_t incoming_bytes, std::size_t incoming_frames,
             const OverloadConfig& cfg) const;
   /// Evicts queued entity moves oldest-first until `incoming_bytes` fits
-  /// (or no moves remain). Rebuilds the index.
+  /// (or no moves remain), keeping every other item in order.
   void evict_moves(std::size_t incoming_bytes, const OverloadConfig& cfg,
                    OverloadStats& stats);
-  void compact();
 
-  std::vector<Item> items_;  // [head_, items_.size()) are live
-  std::size_t head_ = 0;
-  std::unordered_map<std::uint64_t, std::size_t> by_key_;  // key -> items_ index
+  util::CoalescingQueue<Item, &Item::key> q_;
   std::size_t bytes_ = 0;
 };
 

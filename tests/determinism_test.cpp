@@ -10,14 +10,17 @@
 //     ground-truth chunks, wire totals), the middleware's full Stats
 //     ledger including the FP-sensitive weight_delivered accumulator, and
 //     per-dyconit end-state counters;
-//   - the golden serial wire: a committed baseline pins the wire stream
-//     over time, so a behavior change anywhere in the update path shows up
-//     as a readable diff (first divergent tick + which byte family moved).
+//   - the golden wires: committed baselines pin the wire stream over time,
+//     so a behavior change anywhere in the update path shows up as a
+//     readable diff (first divergent tick + which byte family moved).
+//     tests/golden/serial_wire.txt runs with overload control off;
+//     tests/golden/overload_wire.txt pins the overload ladder scenario
+//     (egress queues, chunk deferral, shedding) transition by transition.
 //     Regenerate deliberately with scripts/rebaseline.sh.
 //
 // Knobs (all optional, for local soak and rebaselining):
 //   DYCONITS_DET_TICKS=N   cap on measured ticks per replay run
-//   DYCONITS_REBASELINE=1  rewrite the golden serial baseline and skip
+//   DYCONITS_REBASELINE=1  rewrite both golden baselines and skip
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,70 +178,110 @@ TEST(SeededReplay, ResyncMidRunReplaysIdentically) {
   expect_same_run(first, run_with_resyncs(), "resync rerun");
 }
 
+// ----------------------------------------------------- wire checkpoints
+
+struct Checkpoint {
+  std::uint64_t tick = 0;
+  std::uint64_t wire_hash = 0;
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t move_bytes = 0;   // EntityMove + EntityMoveBatch
+  std::uint64_t block_bytes = 0;  // BlockChange + MultiBlockChange
+  std::uint64_t chunk_bytes = 0;  // ChunkData
+  int rung = -1;                  // ladder rung; -1 = not recorded
+};
+
+/// The wire as it stands after `tick`: order-sensitive hash, totals, and the
+/// server's egress bytes split by update family.
+Checkpoint checkpoint_of(Simulation& sim, std::uint64_t tick, int rung = -1) {
+  const auto server = sim.server().endpoint();
+  auto family = [&](protocol::MessageType a, protocol::MessageType b) {
+    std::uint64_t n = sim.network().egress_bytes_by_tag(
+        server, static_cast<std::uint8_t>(a));
+    if (b != a) {
+      n += sim.network().egress_bytes_by_tag(server, static_cast<std::uint8_t>(b));
+    }
+    return n;
+  };
+  Checkpoint c;
+  c.tick = tick;
+  c.wire_hash = sim.network().wire_hash();
+  c.frames = sim.network().total_frames();
+  c.bytes = sim.network().total_bytes();
+  c.move_bytes = family(protocol::MessageType::EntityMove,
+                        protocol::MessageType::EntityMoveBatch);
+  c.block_bytes = family(protocol::MessageType::BlockChange,
+                         protocol::MessageType::MultiBlockChange);
+  c.chunk_bytes = family(protocol::MessageType::ChunkData,
+                         protocol::MessageType::ChunkData);
+  c.rung = rung;
+  return c;
+}
+
 // ----------------------------------------------------- overload ladder
+
+constexpr std::uint64_t kLadderSeed = 1337;
+constexpr std::uint64_t kLadderTicks = 800;
+
+struct LadderDigest {
+  RunDigest run;
+  /// One checkpoint per rung transition, at the tick it happened.
+  std::vector<Checkpoint> rungs;
+  /// The wire after the last tick, carrying the final rung.
+  Checkpoint last;
+  std::uint64_t transitions = 0;
+};
+
+/// The overload scenario: a constrained uplink, one stalled client, one
+/// spamming client and a flash crowd, with overload control on. Queues
+/// coalesce, bounds widen, chunks defer and a worst offender is kicked.
+LadderDigest ladder_run(std::size_t ticks) {
+  SimulationConfig cfg = det_config(kLadderSeed, ticks);
+  cfg.server_egress_rate = 192 * 1024;  // constrained uplink
+  cfg.overload.enabled = true;
+  // Engage on uplink saturation, not CPU exhaustion (the modeled cost at
+  // this scale never nears the 50 ms budget); see tests/overload_test.cpp.
+  cfg.overload.budget_engage = 0.010;
+  cfg.overload.budget_release = 0.004;
+  cfg.overload.engage_ticks = 2;
+  const double w = cfg.warmup.as_seconds();
+  const double end = cfg.duration.as_seconds();
+  cfg.overload_schedule.events.push_back(
+      {ScheduledOverload::Kind::Stall, w + 1.0, end, 0, 0, 1.0});
+  cfg.overload_schedule.events.push_back(
+      {ScheduledOverload::Kind::Spam, w + 2.0, end, 0, 0, 4.0});
+  cfg.overload_schedule.events.push_back(
+      {ScheduledOverload::Kind::Flash, w + 5.0, 0, 0, 4, 1.0});
+
+  Simulation sim(cfg);
+  LadderDigest d;
+  int last_rung = 0;
+  sim.set_tick_hook([&](Simulation& s, SimTime) {
+    const int rung = s.server().overload_rung();
+    if (rung != last_rung) {
+      d.rungs.push_back(checkpoint_of(s, s.server().tick_count(), rung));
+      last_rung = rung;
+    }
+  });
+  sim.run();
+  d.run = digest_of(sim);
+  d.last = checkpoint_of(sim, sim.server().tick_count(), sim.server().overload_rung());
+  d.transitions = sim.server().overload_stats().ladder_transitions;
+  return d;
+}
 
 /// The degradation ladder (DESIGN.md §10) is part of the determinism
 /// contract: every rung decision is a pure function of the modeled tick
-/// cost, so an overloaded run — queues coalescing, bounds widening, chunks
-/// deferring, a worst offender kicked — must replay byte-identically from
-/// its seed, transition for transition.
+/// cost, so an overloaded run must replay byte-identically from its seed,
+/// transition for transition.
 TEST(SeededReplay, OverloadLadderReplaysIdentically) {
-  const std::size_t ticks = std::min<std::size_t>(det_ticks(), 800);
-
-  struct RungCheckpoint {
-    std::uint64_t tick = 0;
-    int rung = 0;
-    std::uint64_t wire_hash = 0;
-  };
-  struct LadderDigest {
-    RunDigest run;
-    std::vector<RungCheckpoint> rungs;
-    std::uint64_t transitions = 0;
-    int final_rung = 0;
-  };
-
-  auto run_ladder = [&] {
-    SimulationConfig cfg = det_config(1337, ticks);
-    cfg.server_egress_rate = 192 * 1024;  // constrained uplink
-    cfg.overload.enabled = true;
-    // Engage on uplink saturation, not CPU exhaustion (the modeled cost at
-    // this scale never nears the 50 ms budget); see tests/overload_test.cpp.
-    cfg.overload.budget_engage = 0.010;
-    cfg.overload.budget_release = 0.004;
-    cfg.overload.engage_ticks = 2;
-    const double w = cfg.warmup.as_seconds();
-    const double end = cfg.duration.as_seconds();
-    cfg.overload_schedule.events.push_back(
-        {ScheduledOverload::Kind::Stall, w + 1.0, end, 0, 0, 1.0});
-    cfg.overload_schedule.events.push_back(
-        {ScheduledOverload::Kind::Spam, w + 2.0, end, 0, 0, 4.0});
-    cfg.overload_schedule.events.push_back(
-        {ScheduledOverload::Kind::Flash, w + 5.0, 0, 0, 4, 1.0});
-
-    Simulation sim(cfg);
-    LadderDigest d;
-    int last_rung = 0;
-    sim.set_tick_hook([&](Simulation& s, SimTime) {
-      const int rung = s.server().overload_rung();
-      if (rung != last_rung) {
-        d.rungs.push_back(
-            {s.server().tick_count(), rung, s.network().wire_hash()});
-        last_rung = rung;
-      }
-    });
-    sim.run();
-    d.run = digest_of(sim);
-    d.transitions = sim.server().overload_stats().ladder_transitions;
-    d.final_rung = sim.server().overload_rung();
-    return d;
-  };
-
-  const LadderDigest first = run_ladder();
+  const std::size_t ticks = std::min<std::size_t>(det_ticks(), kLadderTicks);
+  const LadderDigest first = ladder_run(ticks);
   ASSERT_GT(first.transitions, 0u) << "scenario never engaged the ladder";
-  const LadderDigest got = run_ladder();
+  const LadderDigest got = ladder_run(ticks);
   expect_same_run(first.run, got.run, "ladder rerun");
   EXPECT_EQ(first.transitions, got.transitions);
-  EXPECT_EQ(first.final_rung, got.final_rung);
+  EXPECT_EQ(first.last.rung, got.last.rung);
   // Transition-for-transition: same rung at the same tick with the same
   // bytes on the wire at that instant.
   ASSERT_EQ(first.rungs.size(), got.rungs.size());
@@ -250,69 +293,48 @@ TEST(SeededReplay, OverloadLadderReplaysIdentically) {
   }
 }
 
-// ----------------------------------------------------- golden serial run
-
-struct Checkpoint {
-  std::uint64_t tick = 0;
-  std::uint64_t wire_hash = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t move_bytes = 0;   // EntityMove + EntityMoveBatch
-  std::uint64_t block_bytes = 0;  // BlockChange + MultiBlockChange
-  std::uint64_t chunk_bytes = 0;  // ChunkData
-};
+// ----------------------------------------------------- golden baselines
 
 constexpr std::uint64_t kGoldenSeed = 42;
 constexpr std::uint64_t kGoldenTicks = 600;
 constexpr std::uint64_t kGoldenEvery = 25;
 
+std::string golden_path(const char* name) {
+  return std::string(DYCONITS_GOLDEN_DIR) + "/" + name;
+}
+
 std::vector<Checkpoint> golden_run() {
   Simulation sim(det_config(kGoldenSeed, kGoldenTicks));
-  const auto server = sim.server().endpoint();
-  auto family = [&](protocol::MessageType a, protocol::MessageType b) {
-    std::uint64_t n = sim.network().egress_bytes_by_tag(
-        server, static_cast<std::uint8_t>(a));
-    if (b != a) {
-      n += sim.network().egress_bytes_by_tag(server, static_cast<std::uint8_t>(b));
-    }
-    return n;
-  };
   std::vector<Checkpoint> out;
   for (std::uint64_t t = 1; t <= kGoldenTicks; ++t) {
     sim.step_tick();
-    if (t % kGoldenEvery != 0) continue;
-    Checkpoint c;
-    c.tick = t;
-    c.wire_hash = sim.network().wire_hash();
-    c.frames = sim.network().total_frames();
-    c.bytes = sim.network().total_bytes();
-    c.move_bytes = family(protocol::MessageType::EntityMove,
-                          protocol::MessageType::EntityMoveBatch);
-    c.block_bytes = family(protocol::MessageType::BlockChange,
-                           protocol::MessageType::MultiBlockChange);
-    c.chunk_bytes = family(protocol::MessageType::ChunkData,
-                           protocol::MessageType::ChunkData);
-    out.push_back(c);
+    if (t % kGoldenEvery == 0) out.push_back(checkpoint_of(sim, t));
   }
   return out;
 }
 
-void write_baseline(const std::string& path, const std::vector<Checkpoint>& cps) {
+/// `title` is the first header line; a rung column is written for
+/// checkpoints that recorded one.
+void write_baseline(const std::string& path, const std::string& title,
+                    const std::vector<Checkpoint>& cps) {
   std::ofstream out(path);
   ASSERT_TRUE(out.good()) << "cannot write " << path;
-  out << "# Serial-oracle wire baseline: seed " << kGoldenSeed << ", "
-      << kGoldenTicks << " ticks, checkpoint every " << kGoldenEvery << ".\n"
+  const bool with_rung = !cps.empty() && cps.front().rung >= 0;
+  out << "# " << title << "\n"
       << "# Regenerate deliberately with scripts/rebaseline.sh after any\n"
       << "# intended change to the update/wire path.\n"
-      << "# tick wire_hash frames bytes move_bytes block_bytes chunk_bytes\n";
+      << "# tick wire_hash frames bytes move_bytes block_bytes chunk_bytes"
+      << (with_rung ? " rung" : "") << "\n";
   char line[160];
   for (const Checkpoint& c : cps) {
-    std::snprintf(line, sizeof(line), "%llu %016llx %llu %llu %llu %llu %llu\n",
+    std::snprintf(line, sizeof(line), "%llu %016llx %llu %llu %llu %llu %llu",
                   (unsigned long long)c.tick, (unsigned long long)c.wire_hash,
                   (unsigned long long)c.frames, (unsigned long long)c.bytes,
                   (unsigned long long)c.move_bytes, (unsigned long long)c.block_bytes,
                   (unsigned long long)c.chunk_bytes);
     out << line;
+    if (c.rung >= 0) out << " " << c.rung;
+    out << "\n";
   }
 }
 
@@ -327,17 +349,19 @@ bool read_baseline(const std::string& path, std::vector<Checkpoint>* out) {
     ss >> c.tick >> std::hex >> c.wire_hash >> std::dec >> c.frames >> c.bytes >>
         c.move_bytes >> c.block_bytes >> c.chunk_bytes;
     if (ss.fail()) return false;
+    if (!(ss >> c.rung)) c.rung = -1;  // optional column
     out->push_back(c);
   }
   return true;
 }
 
-TEST(GoldenRun, SerialWireBaselineUnchanged) {
-  const std::string path = DYCONITS_GOLDEN_FILE;
-  const std::vector<Checkpoint> got = golden_run();
-
+/// Rewrites the baseline under DYCONITS_REBASELINE=1 (and skips); otherwise
+/// fails at the first checkpoint that diverges from it, naming the byte
+/// family that moved so the diff points at a subsystem.
+void check_baseline(const std::string& path, const std::string& title,
+                    const std::vector<Checkpoint>& got) {
   if (env_u64("DYCONITS_REBASELINE", 0) != 0) {
-    write_baseline(path, got);
+    write_baseline(path, title, got);
     GTEST_SKIP() << "rebaselined " << path << " (" << got.size() << " checkpoints)";
   }
 
@@ -350,12 +374,16 @@ TEST(GoldenRun, SerialWireBaselineUnchanged) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     const Checkpoint& w = want[i];
     const Checkpoint& g = got[i];
-    if (w.wire_hash == g.wire_hash && w.frames == g.frames && w.bytes == g.bytes) {
+    if (w.tick == g.tick && w.rung == g.rung && w.wire_hash == g.wire_hash &&
+        w.frames == g.frames && w.bytes == g.bytes) {
       continue;
     }
-    // First divergence: say when and *what kind* of traffic moved, so the
-    // diff points at a subsystem instead of just "hash changed".
     std::string hint;
+    if (g.tick != w.tick || g.rung != w.rung) {
+      hint += " checkpoint (tick, rung) (" + std::to_string(w.tick) + ", " +
+              std::to_string(w.rung) + ") -> (" + std::to_string(g.tick) + ", " +
+              std::to_string(g.rung) + ")";
+    }
     if (g.move_bytes != w.move_bytes) {
       hint += " move_bytes " + std::to_string(w.move_bytes) + " -> " +
               std::to_string(g.move_bytes) + " (entity movement path)";
@@ -372,12 +400,34 @@ TEST(GoldenRun, SerialWireBaselineUnchanged) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%016llx vs %016llx",
                   (unsigned long long)w.wire_hash, (unsigned long long)g.wire_hash);
-    FAIL() << "serial wire stream diverged from golden baseline at tick " << w.tick
-           << " (first divergent checkpoint): wire_hash " << buf << ", frames "
-           << w.frames << " -> " << g.frames << ", bytes " << w.bytes << " -> "
-           << g.bytes << ";" << hint
+    FAIL() << "wire stream diverged from golden baseline " << path << " at tick "
+           << w.tick << " (first divergent checkpoint): wire_hash " << buf
+           << ", frames " << w.frames << " -> " << g.frames << ", bytes " << w.bytes
+           << " -> " << g.bytes << ";" << hint
            << ". If this change is intended, run scripts/rebaseline.sh.";
   }
+}
+
+TEST(GoldenRun, SerialWireBaselineUnchanged) {
+  check_baseline(golden_path("serial_wire.txt"),
+                 "Serial-oracle wire baseline: seed " + std::to_string(kGoldenSeed) +
+                     ", " + std::to_string(kGoldenTicks) + " ticks, checkpoint every " +
+                     std::to_string(kGoldenEvery) + ".",
+                 golden_run());
+}
+
+/// Pins the overload-control wire (egress queues, the ladder, chunk
+/// deferral, overload disconnects), which the serial baseline runs with
+/// overload off: one checkpoint per rung transition, then the final wire.
+TEST(GoldenRun, OverloadWireBaselineUnchanged) {
+  const LadderDigest d = ladder_run(kLadderTicks);
+  std::vector<Checkpoint> got = d.rungs;
+  got.push_back(d.last);
+  check_baseline(golden_path("overload_wire.txt"),
+                 "Overload-ladder wire baseline: seed " + std::to_string(kLadderSeed) +
+                     ", " + std::to_string(kLadderTicks) +
+                     " ticks, checkpoint per rung transition plus the final tick.",
+                 got);
 }
 
 }  // namespace

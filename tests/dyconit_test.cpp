@@ -60,22 +60,6 @@ TEST(SubscriberQueueTest, CoalesceKeepsLatestPayloadOldestTime) {
   EXPECT_DOUBLE_EQ(mv.pos.x, 9.0);                   // last write wins
 }
 
-TEST(SubscriberQueueTest, DistinctKeysDoNotCoalesce) {
-  SubscriberQueue q;
-  q.enqueue(move_update(1, 1, 1, SimTime(0)));
-  q.enqueue(move_update(2, 2, 1, SimTime(0)));
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(SubscriberQueueTest, ZeroKeyNeverCoalesces) {
-  SubscriberQueue q;
-  Update u = move_update(1, 1, 1, SimTime(0));
-  u.coalesce_key = 0;
-  q.enqueue(u);
-  q.enqueue(u);
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(SubscriberQueueTest, ViolatesStaleness) {
   SubscriberQueue q;
   q.enqueue(move_update(1, 1, 0.1, SimTime(0)));
@@ -112,27 +96,19 @@ TEST(SubscriberQueueTest, EmptyNeverViolates) {
   EXPECT_FALSE(q.violates(Bounds::zero(), SimTime(1'000'000'000)));
 }
 
-TEST(SubscriberQueueTest, TakeAllResets) {
+TEST(SubscriberQueueTest, TakeIntoResets) {
   SubscriberQueue q;
   q.enqueue(move_update(1, 1, 1, SimTime(0)));
-  q.enqueue(move_update(2, 2, 2, SimTime(0)));
-  const auto taken = q.take_all();
+  q.enqueue(move_update(2, 2, 1, SimTime(0)));
+  std::vector<Update> taken(7);  // stale contents are cleared
+  q.take_into(taken);
   EXPECT_EQ(taken.size(), 2u);
   EXPECT_TRUE(q.empty());
   EXPECT_DOUBLE_EQ(q.total_weight(), 0.0);
   // Coalesce index is reset too: re-enqueueing the same key starts fresh.
   EXPECT_FALSE(q.enqueue(move_update(1, 5, 1, SimTime(1))));
   EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(SubscriberQueueTest, PreservesEnqueueOrder) {
-  SubscriberQueue q;
-  for (std::uint32_t i = 1; i <= 5; ++i) q.enqueue(move_update(i, i, 1, SimTime(i)));
-  q.enqueue(move_update(2, 99, 1, SimTime(10)));  // coalesces into slot 2
-  const auto taken = q.take_all();
-  ASSERT_EQ(taken.size(), 5u);
-  EXPECT_DOUBLE_EQ(std::get<EntityMove>(taken[1].msg).pos.x, 99.0);  // in place
-  EXPECT_EQ(std::get<EntityMove>(taken[4].msg).id, 5u);
+  EXPECT_DOUBLE_EQ(q.total_weight(), 1.0);
 }
 
 TEST(SubscriberQueueTest, ShedEntityMovesCompactsSurvivors) {

@@ -23,6 +23,7 @@
 
 #include "bots/overload_schedule.h"
 #include "bots/simulation.h"
+#include "dyconit/update.h"
 #include "protocol/codec.h"
 #include "server/overload.h"
 #include "util/rng.h"
@@ -32,8 +33,7 @@ namespace {
 
 using protocol::AnyMessage;
 
-constexpr std::uint64_t kMoveKeyBase = 1ull << 56;
-constexpr std::uint64_t kBlockKeyBase = 2ull << 56;
+using dyconit::coalesce_key_entity;
 
 AnyMessage move_msg(entity::EntityId id, double x) {
   return protocol::EntityMove{id, {x, 64.0, 0.0}, 0.0f, 0.0f};
@@ -56,9 +56,9 @@ TEST(EgressQueueTest, CoalescesSameKeyNewestWins) {
   EgressQueue q;
   OverloadConfig cfg;
   OverloadStats stats;
-  EXPECT_EQ(push(q, move_msg(7, 1.0), kMoveKeyBase | 7, cfg, stats),
+  EXPECT_EQ(push(q, move_msg(7, 1.0), coalesce_key_entity(7), cfg, stats),
             EgressQueue::PushResult::Queued);
-  EXPECT_EQ(push(q, move_msg(7, 2.0), kMoveKeyBase | 7, cfg, stats),
+  EXPECT_EQ(push(q, move_msg(7, 2.0), coalesce_key_entity(7), cfg, stats),
             EgressQueue::PushResult::Coalesced);
   EXPECT_EQ(q.frames(), 1u);
   EXPECT_EQ(stats.egress_coalesced, 1u);
@@ -67,7 +67,7 @@ TEST(EgressQueueTest, CoalescesSameKeyNewestWins) {
   EXPECT_DOUBLE_EQ(mv->pos.x, 2.0);  // the superseding position won
 
   // Distinct keys queue separately.
-  EXPECT_EQ(push(q, move_msg(8, 3.0), kMoveKeyBase | 8, cfg, stats),
+  EXPECT_EQ(push(q, move_msg(8, 3.0), coalesce_key_entity(8), cfg, stats),
             EgressQueue::PushResult::Queued);
   EXPECT_EQ(q.frames(), 2u);
 }
@@ -91,7 +91,7 @@ TEST(EgressQueueTest, ByteCapEvictsOldestMovesFirst) {
   OverloadStats stats;
   // Distinct entities so nothing coalesces; the cap must evict instead.
   for (entity::EntityId id = 1; id <= 64; ++id) {
-    const auto res = push(q, move_msg(id, 1.0), kMoveKeyBase | id, cfg, stats);
+    const auto res = push(q, move_msg(id, 1.0), coalesce_key_entity(id), cfg, stats);
     EXPECT_NE(res, EgressQueue::PushResult::DroppedPoison);
     EXPECT_LE(q.bytes(), cfg.queue_cap_bytes) << "after push " << id;
   }
@@ -115,7 +115,7 @@ TEST(EgressQueueTest, FrameCapRespected) {
   cfg.queue_cap_frames = 8;
   OverloadStats stats;
   for (entity::EntityId id = 1; id <= 40; ++id) {
-    push(q, move_msg(id, 1.0), kMoveKeyBase | id, cfg, stats);
+    push(q, move_msg(id, 1.0), coalesce_key_entity(id), cfg, stats);
     EXPECT_LE(q.frames(), 8u);
   }
 }
@@ -140,7 +140,7 @@ TEST(EgressQueueTest, OverflowLadderDefersChunksDropsMovesPoisonsOrdered) {
   EXPECT_EQ(push(q, AnyMessage{cd}, 0, cfg, stats), EgressQueue::PushResult::DeferChunk);
 
   // A move is droppable: the next move supersedes it.
-  EXPECT_EQ(push(q, move_msg(5, 1.0), kMoveKeyBase | 5, cfg, stats),
+  EXPECT_EQ(push(q, move_msg(5, 1.0), coalesce_key_entity(5), cfg, stats),
             EgressQueue::PushResult::DroppedMove);
   EXPECT_EQ(stats.egress_dropped_moves, 1u);
 
@@ -161,7 +161,7 @@ TEST(EgressQueueTest, CoalesceGrowthReEnforcesTheCap) {
   const std::uint64_t chat_key = (3ull << 56) | 1;
   push(q, AnyMessage{protocol::ChatBroadcast{1, "a"}}, chat_key, cfg, stats);
   for (entity::EntityId id = 1; id <= 12; ++id) {
-    push(q, move_msg(id, 1.0), kMoveKeyBase | id, cfg, stats);
+    push(q, move_msg(id, 1.0), coalesce_key_entity(id), cfg, stats);
   }
   ASSERT_LE(q.bytes(), cfg.queue_cap_bytes);
   // Replacing the chat with a much larger one grows the slot; the queue
@@ -180,7 +180,7 @@ TEST(EgressQueueTest, PopAndClearKeepAccountingExact) {
   // Enough traffic to trigger internal compaction (head_ >= 128).
   for (int round = 0; round < 3; ++round) {
     for (entity::EntityId id = 1; id <= 200; ++id) {
-      push(q, move_msg(id, static_cast<double>(round)), kMoveKeyBase | id, cfg, stats);
+      push(q, move_msg(id, static_cast<double>(round)), coalesce_key_entity(id), cfg, stats);
     }
     std::size_t popped = 0;
     while (!q.empty()) {
@@ -192,10 +192,37 @@ TEST(EgressQueueTest, PopAndClearKeepAccountingExact) {
     EXPECT_EQ(q.frames(), 0u);
   }
   for (entity::EntityId id = 1; id <= 10; ++id) {
-    push(q, move_msg(id, 0.0), kMoveKeyBase | id, cfg, stats);
+    push(q, move_msg(id, 0.0), coalesce_key_entity(id), cfg, stats);
   }
   EXPECT_EQ(q.clear(), 10u);
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.bytes(), 0u);
+}
+
+TEST(EgressQueueTest, CoalesceAfterCompactionHitsTheShiftedSlot) {
+  EgressQueue q;
+  OverloadConfig cfg;
+  cfg.queue_cap_bytes = 0;
+  cfg.queue_cap_frames = 0;
+  OverloadStats stats;
+  for (entity::EntityId id = 1; id <= 200; ++id) {
+    push(q, move_msg(id, 1.0), coalesce_key_entity(id), cfg, stats);
+  }
+  // Popping 150 compacts the queue mid-way, shifting every surviving slot.
+  for (int i = 0; i < 150; ++i) q.pop_front();
+  const std::size_t frames = q.frames();
+  const std::size_t bytes = q.bytes();
+  ASSERT_EQ(frames, 50u);
+  EXPECT_EQ(push(q, move_msg(170, 9.0), coalesce_key_entity(170), cfg, stats),
+            EgressQueue::PushResult::Coalesced);
+  EXPECT_EQ(q.frames(), frames);
+  EXPECT_EQ(q.bytes(), bytes);  // same-width payload replaced in place
+  for (entity::EntityId id = 151; id <= 200; ++id) {
+    const EgressQueue::Item it = q.pop_front();
+    const auto& mv = std::get<protocol::EntityMove>(it.msg);
+    EXPECT_EQ(mv.id, id);
+    EXPECT_DOUBLE_EQ(mv.pos.x, id == 170 ? 9.0 : 1.0);
+  }
   EXPECT_EQ(q.bytes(), 0u);
 }
 
@@ -285,11 +312,11 @@ TEST(CoalescingProperty, DrainedQueueMatchesUncoalescedOracle) {
       if (rng.chance(0.7)) {
         const auto id = static_cast<entity::EntityId>(rng.next_in(1, 12));
         m = move_msg(id, rng.next_double() * 100.0);
-        key = kMoveKeyBase | id;
+        key = coalesce_key_entity(id);
       } else {
         const auto x = static_cast<std::int32_t>(rng.next_in(0, 30));
         m = block_msg(x, rng.chance(0.5) ? world::Block::Planks : world::Block::Air);
-        key = kBlockKeyBase | static_cast<std::uint64_t>(x);
+        key = dyconit::coalesce_key_block({x, 10, 0});
       }
       oracle.apply(m);
       q.push(m, SimTime::zero(), key, wire_bytes(m), cfg, stats);

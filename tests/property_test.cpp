@@ -386,7 +386,7 @@ class FullScanModel {
           double shed_weight = 0.0;
           std::vector<Update> kept;
           for (const Update& e : q.entries) {
-            if ((e.coalesce_key >> 56) == 1) {
+            if (is_entity_move_key(e.coalesce_key)) {
               ++shed;
               shed_weight += e.weight;
             } else {

@@ -519,9 +519,8 @@ TEST(FaultTransportTest, SendFailuresAreSilentButMeasured) {
   const std::uint64_t before = sp.congested_bytes;
   rig.fi.flush_egress();
   EXPECT_LT(rig.fi.send_pressure(net::kInvalidEndpoint).congested_bytes, before);
-  // Backlog capability: the wrapper surfaces its own pressure even though
-  // the sim inner reports pending bytes too.
-  EXPECT_TRUE(rig.fi.has_backlog_signal());
+  // Backlog signal: the wrapper adds its own congestion on top of the
+  // pending bytes the sim inner reports.
   EXPECT_GE(rig.fi.pending_bytes(rig.b), rig.fi.send_pressure(rig.b).congested_bytes);
 }
 

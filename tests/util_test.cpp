@@ -1,10 +1,14 @@
-// Unit tests for src/util: simulated time, RNG, statistics, flags.
+// Unit tests for src/util: simulated time, RNG, statistics, flags, and the
+// coalescing queue shared by the dyconit and egress queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "util/coalescing_queue.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -429,6 +433,247 @@ TEST(FlagsDeathTest, MalformedDurationExits) {
   Flags f(2, const_cast<char**>(argv));
   EXPECT_EXIT(f.get_duration("net-timeout", SimDuration(0)), testing::ExitedWithCode(2),
               "unit suffix");
+}
+
+// ------------------------------------------------------- CoalescingQueue
+
+struct Entry {
+  std::uint64_t key = 0;
+  int value = 0;
+};
+using Queue = util::CoalescingQueue<Entry, &Entry::key>;
+
+/// What every caller does: merge into the queued slot, else append.
+/// Returns true when it coalesced.
+bool upsert(Queue& q, std::uint64_t key, int value) {
+  if (Entry* slot = q.find(key)) {
+    slot->value = value;
+    return true;
+  }
+  q.push(Entry{key, value});
+  return false;
+}
+
+std::vector<int> values(const Queue& q) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < q.size(); ++i) out.push_back(q[i].value);
+  return out;
+}
+
+TEST(CoalescingQueueTest, StartsEmpty) {
+  Queue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.find(1), nullptr);
+  EXPECT_EQ(q.find(0), nullptr);
+}
+
+TEST(CoalescingQueueTest, PreservesInsertionOrder) {
+  Queue q;
+  for (int i = 1; i <= 5; ++i) EXPECT_FALSE(upsert(q, 10 + i, i));
+  EXPECT_EQ(values(q), (std::vector<int>{1, 2, 3, 4, 5}));
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.front().value, i);
+    EXPECT_EQ(q.pop_front().value, i);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CoalescingQueueTest, DistinctKeysQueueSeparately) {
+  Queue q;
+  upsert(q, 1, 1);
+  upsert(q, 2, 2);
+  EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(CoalescingQueueTest, ReplaceInPlaceKeepsPosition) {
+  Queue q;
+  for (int i = 1; i <= 5; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  EXPECT_TRUE(upsert(q, 2, 99));  // newest payload into slot 2
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(values(q), (std::vector<int>{1, 99, 3, 4, 5}));
+  EXPECT_EQ(q.find(2)->value, 99);
+}
+
+TEST(CoalescingQueueTest, ZeroKeyNeverCoalesces) {
+  Queue q;
+  EXPECT_FALSE(upsert(q, 0, 1));
+  EXPECT_FALSE(upsert(q, 0, 2));
+  EXPECT_EQ(q.find(0), nullptr);
+  EXPECT_EQ(values(q), (std::vector<int>{1, 2}));
+  // Popping an unindexed entry leaves keyed ones findable.
+  upsert(q, 7, 3);
+  q.pop_front();
+  ASSERT_NE(q.find(7), nullptr);
+  EXPECT_EQ(q.find(7)->value, 3);
+}
+
+TEST(CoalescingQueueTest, RemoveIfKeepsSurvivorOrderAndReindexes) {
+  Queue q;
+  for (int i = 1; i <= 6; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  upsert(q, 0, 7);  // unkeyed survivor
+  EXPECT_EQ(q.remove_if([](const Entry& e) { return e.key != 0 && e.key % 2 == 0; }), 3u);
+  EXPECT_EQ(values(q), (std::vector<int>{1, 3, 5, 7}));
+  // A surviving key coalesces into its moved slot (5 sat at 4, now at 2) ...
+  EXPECT_TRUE(upsert(q, 5, 50));
+  EXPECT_EQ(values(q), (std::vector<int>{1, 3, 50, 7}));
+  // ... and a removed key appends as a fresh entry.
+  EXPECT_EQ(q.find(4), nullptr);
+  EXPECT_FALSE(upsert(q, 4, 40));
+  EXPECT_EQ(values(q), (std::vector<int>{1, 3, 50, 7, 40}));
+}
+
+TEST(CoalescingQueueTest, RemoveIfVisitsLiveEntriesOnceFrontToBack) {
+  Queue q;
+  for (int i = 1; i <= 8; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  q.pop_front();
+  q.pop_front();
+  // Stateful predicate: drop the first two odd values it meets.
+  std::vector<int> seen;
+  int budget = 2;
+  EXPECT_EQ(q.remove_if([&](const Entry& e) {
+              seen.push_back(e.value);
+              if (budget > 0 && e.value % 2 == 1) {
+                --budget;
+                return true;
+              }
+              return false;
+            }),
+            2u);
+  EXPECT_EQ(seen, (std::vector<int>{3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(values(q), (std::vector<int>{4, 6, 7, 8}));
+  EXPECT_TRUE(upsert(q, 7, 70));
+  EXPECT_EQ(values(q), (std::vector<int>{4, 6, 70, 8}));
+}
+
+TEST(CoalescingQueueTest, RemoveIfNothingKeepsQueueIntact) {
+  Queue q;
+  for (int i = 1; i <= 4; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  q.pop_front();  // a dead prefix the no-op removal must account for
+  EXPECT_EQ(q.remove_if([](const Entry&) { return false; }), 0u);
+  EXPECT_EQ(values(q), (std::vector<int>{2, 3, 4}));
+  EXPECT_TRUE(upsert(q, 3, 30));
+  EXPECT_EQ(values(q), (std::vector<int>{2, 30, 4}));
+}
+
+TEST(CoalescingQueueTest, RePushAfterPopQueuesFresh) {
+  Queue q;
+  upsert(q, 1, 1);
+  upsert(q, 2, 2);
+  EXPECT_EQ(q.pop_front().value, 1);
+  EXPECT_EQ(q.find(1), nullptr);  // popped key left the index
+  EXPECT_FALSE(upsert(q, 1, 10));
+  EXPECT_EQ(values(q), (std::vector<int>{2, 10}));
+}
+
+TEST(CoalescingQueueTest, TakeIntoHandsBackTheCallersCapacity) {
+  Queue q;
+  std::vector<Entry> scratch;
+  scratch.reserve(64);
+  scratch.push_back({99, 99});  // stale contents are cleared
+  const Entry* const buffer = scratch.data();
+
+  for (int i = 1; i <= 3; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  q.pop_front();  // only live entries are taken
+  q.take_into(scratch);
+  ASSERT_EQ(scratch.size(), 2u);
+  EXPECT_EQ(scratch[0].value, 2);
+  EXPECT_EQ(scratch[1].value, 3);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.find(2), nullptr);
+
+  // The queue now owns the caller's old buffer: the next take returns it.
+  EXPECT_FALSE(upsert(q, 2, 20));
+  std::vector<Entry> next;
+  q.take_into(next);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].value, 20);
+  EXPECT_EQ(next.data(), buffer);
+  EXPECT_EQ(next.capacity(), 64u);
+}
+
+TEST(CoalescingQueueTest, ClearDropsEverything) {
+  Queue q;
+  for (int i = 1; i <= 5; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  q.pop_front();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.find(3), nullptr);
+  EXPECT_FALSE(upsert(q, 3, 30));
+  EXPECT_EQ(values(q), (std::vector<int>{30}));
+}
+
+TEST(CoalescingQueueTest, CompactionShiftsIndexAndCoalescesInPlace) {
+  Queue q;
+  for (int i = 1; i <= 200; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  // 150 pops cross the compaction point (dead prefix >= 128 and >= half),
+  // so every surviving slot moves down and the index is re-based.
+  for (int i = 1; i <= 150; ++i) ASSERT_EQ(q.pop_front().value, i);
+  ASSERT_EQ(q.size(), 50u);
+  EXPECT_TRUE(upsert(q, 170, -170));
+  EXPECT_EQ(q.size(), 50u);
+  EXPECT_EQ(q[170 - 151].value, -170);
+  for (int i = 151; i <= 200; ++i) {
+    EXPECT_EQ(q.pop_front().value, i == 170 ? -170 : i);
+  }
+}
+
+TEST(CoalescingQueueTest, MatchesLinearScanModel) {
+  // Random pushes, pops, removals, takes and clears against a plain vector
+  // searched linearly: contents and order must agree after every step.
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    Queue q;
+    std::vector<Entry> model;
+    std::vector<Entry> scratch;
+    for (int step = 0; step < 5000; ++step) {
+      const double op = rng.next_double();
+      if (op < 0.6) {
+        const auto key = static_cast<std::uint64_t>(rng.next_in(0, 40));
+        const int value = step;
+        const auto it = std::find_if(model.begin(), model.end(), [&](const Entry& e) {
+          return key != 0 && e.key == key;
+        });
+        const bool found = it != model.end();
+        if (found) {
+          it->value = value;
+        } else {
+          model.push_back({key, value});
+        }
+        EXPECT_EQ(upsert(q, key, value), found);
+      } else if (op < 0.9) {
+        if (!model.empty()) {
+          EXPECT_EQ(q.pop_front().value, model.front().value);
+          model.erase(model.begin());
+        }
+      } else if (op < 0.97) {
+        const auto mod = static_cast<std::uint64_t>(rng.next_in(2, 5));
+        auto pred = [mod](const Entry& e) { return e.key % mod == 1; };
+        const auto removed = static_cast<std::size_t>(
+            std::count_if(model.begin(), model.end(), pred));
+        model.erase(std::remove_if(model.begin(), model.end(), pred), model.end());
+        EXPECT_EQ(q.remove_if(pred), removed);
+      } else if (op < 0.99) {
+        q.take_into(scratch);
+        ASSERT_EQ(scratch.size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i) {
+          EXPECT_EQ(scratch[i].value, model[i].value);
+        }
+        model.clear();
+      } else {
+        q.clear();
+        model.clear();
+      }
+      ASSERT_EQ(q.size(), model.size()) << "step " << step;
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(q[i].key, model[i].key) << "step " << step << " slot " << i;
+        ASSERT_EQ(q[i].value, model[i].value) << "step " << step << " slot " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
