@@ -130,6 +130,57 @@ void BM_TickMostlyIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_TickMostlyIdle)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// One tick of a system holding N pending queues (16 subscribers per
+/// dyconit, a staleness bound of ~1 s) of which 64 come due each tick: the
+/// dyconits are fed in groups of four, one group per tick interval, and
+/// each tick flushes the group whose updates turned one bound old and feeds
+/// it again, so N stays pending. The flush round visits only due queues,
+/// so ns/tick should stay flat as N grows from 1k to 100k.
+void BM_TickManyPendingFewDue(benchmark::State& state) {
+  const auto pending = static_cast<std::int32_t>(state.range(0));
+  constexpr std::int32_t kSubsPerDyconit = 16;
+  constexpr std::int32_t kDyconitsPerGroup = 4;  // 64 due queues per tick
+  const std::int32_t groups = pending / (kSubsPerDyconit * kDyconitsPerGroup);
+  const SimDuration interval = SimDuration::micros(1'000'000 / groups);
+  const Bounds bounds{interval * groups, 1e18};  // ~1 s; a whole number of intervals
+  SimClock clock;
+  DyconitSystem sys(clock);
+  NullSink sink;
+  auto unit = [](std::int32_t group, std::int32_t k) {
+    return DyconitId::chunk_entities({group, k});
+  };
+  auto feed = [&](std::int32_t group) {
+    for (std::int32_t k = 0; k < kDyconitsPerGroup; ++k) {
+      sys.update(unit(group, k), make_update(static_cast<std::uint32_t>(k + 1), clock.now()));
+    }
+  };
+  for (std::int32_t g = 0; g < groups; ++g) {
+    for (std::int32_t k = 0; k < kDyconitsPerGroup; ++k) {
+      for (std::int32_t s = 1; s <= kSubsPerDyconit; ++s) {
+        sys.subscribe(unit(g, k), static_cast<dyconit::SubscriberId>(s), bounds);
+      }
+    }
+  }
+  for (std::int32_t g = 0; g < groups; ++g) {
+    if (g > 0) clock.advance(interval);
+    feed(g);
+  }
+  sys.tick(sink);  // settles the set-up's GC checks; nothing is due yet
+  std::int32_t due = 0;
+  const std::uint64_t visited0 = sys.stats().queues_visited;
+  for (auto _ : state) {
+    clock.advance(interval);
+    sys.tick(sink);
+    feed(due);
+    due = (due + 1) % groups;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["visited_per_tick"] = benchmark::Counter(
+      static_cast<double>(sys.stats().queues_visited - visited0) /
+      static_cast<double>(std::max<benchmark::IterationCount>(1, state.iterations())));
+}
+BENCHMARK(BM_TickManyPendingFewDue)->Arg(1000)->Arg(10000)->Arg(100000);
+
 /// The vanilla unit of work one enqueue replaces: serialize the message
 /// into a frame. (Compare items/s with BM_EnqueueFanout/1.)
 void BM_VanillaSerialize(benchmark::State& state) {

@@ -56,8 +56,31 @@ std::size_t SubscriberQueue::shed_entity_moves(double* weight) {
 Dyconit::Dyconit(DyconitId id, Bounds default_bounds)
     : id_(id), default_bounds_(default_bounds) {}
 
+void Dyconit::refresh_due(Sub& s) {
+  PendingEntry& e = pending_[s.slot];
+  e.due = due_of(s);
+  next_due_ = std::min(next_due_, e.due);
+}
+
+void Dyconit::add_pending(SubscriberId sub, Sub& s) {
+  s.slot = pending_.size();
+  pending_.push_back({due_of(s), sub, &s});
+  next_due_ = std::min(next_due_, pending_.back().due);
+}
+
+void Dyconit::remove_pending(Sub& s) {
+  const std::size_t i = s.slot;
+  pending_[i] = pending_.back();
+  pending_[i].s->slot = i;
+  pending_.pop_back();
+  s.slot = kNotPending;
+  if (pending_.empty()) next_due_ = kNever;
+}
+
 void Dyconit::subscribe(SubscriberId sub, Bounds b) {
-  subs_[sub].bounds = b;  // creates if absent, keeps existing queue if present
+  Sub& s = subs_[sub];  // creates if absent, keeps existing queue if present
+  s.bounds = b;
+  if (s.slot != kNotPending) refresh_due(s);
   subs_dirty_ = true;
 }
 
@@ -65,11 +88,8 @@ bool Dyconit::unsubscribe(SubscriberId sub, Stats& stats) {
   const auto it = subs_.find(sub);
   if (it == subs_.end()) return false;
   stats.dropped_unsubscribe += it->second.queue.size();
-  if (it->second.pending) {
-    // A resubscribe creates a fresh Sub with pending=false; drop the id so
-    // the list never holds it twice.
-    pending_.erase(std::find(pending_.begin(), pending_.end(), sub));
-  }
+  // next_due_ keeps the removed queue's due time; that is early, never late.
+  if (it->second.slot != kNotPending) remove_pending(it->second);
   subs_.erase(it);
   subs_dirty_ = true;
   return true;
@@ -88,7 +108,15 @@ const std::vector<SubscriberId>& Dyconit::sorted_subscribers() const {
 
 void Dyconit::set_bounds(SubscriberId sub, Bounds b) {
   const auto it = subs_.find(sub);
-  if (it != subs_.end()) it->second.bounds = b;
+  if (it == subs_.end() || it->second.bounds == b) return;
+  it->second.bounds = b;
+  if (it->second.slot != kNotPending) refresh_due(it->second);
+}
+
+void Dyconit::set_snapshot_threshold(std::size_t n) {
+  if (n == snapshot_threshold_) return;
+  snapshot_threshold_ = n;
+  for (const PendingEntry& e : pending_) refresh_due(*e.s);
 }
 
 Bounds Dyconit::bounds_of(SubscriberId sub) const {
@@ -101,22 +129,26 @@ bool Dyconit::enqueue(const Update& u, SubscriberId exclude, Stats& stats) {
     ++stats.dropped_no_subscriber;
     return false;
   }
+  const SimTime before = next_due_;
   for (auto& [sub, s] : subs_) {
     if (sub == exclude) continue;
     ++stats.enqueued;
     if (s.queue.enqueue(u)) ++stats.coalesced;
-    if (!s.pending) {
-      s.pending = true;
-      pending_.push_back(sub);
+    if (s.slot == kNotPending) {
+      add_pending(sub, s);
+    } else if (pending_[s.slot].due != kDueNow && over_bound(s)) {
+      // The front (and so the staleness due time) is unchanged; only the
+      // length and the weight grew.
+      pending_[s.slot].due = kDueNow;
+      next_due_ = kDueNow;
     }
   }
-  if (scheduled_ || pending_.empty()) return false;
-  scheduled_ = true;
-  return true;
+  return next_due_ < before;
 }
 
-void Dyconit::take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
-                            const ShedDirective& shed, PendingFlush& p) {
+void Dyconit::take_due_core(Sub& s, SimTime now, const ShedDirective& shed,
+                            PendingFlush& p) {
+  std::size_t snapshot_threshold = snapshot_threshold_;
   if (shed.shed_entity_moves && !s.queue.empty()) {
     p.shed = s.queue.shed_entity_moves(&p.shed_weight);
   }
@@ -159,42 +191,44 @@ void Dyconit::settle(SubscriberId sub, const PendingFlush& p, SimTime now,
   sink.deliver(sub, flushed);
 }
 
-bool Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
-                        std::size_t snapshot_threshold, const ShedDirectiveMap* shed) {
-  // Canonical (ascending subscriber id) order: the wire stream and the
-  // weight_delivered sum depend on it. Sink callbacks must not touch this
-  // dyconit's subscription set or enqueue into it. The round's ids move to
-  // round_ so that a queue still non-empty after its visit goes back onto
-  // pending_.
+void Dyconit::flush_due(SimTime now, FlushSink& sink, Stats& stats,
+                        const ShedDirectiveMap* shed) {
   static const ShedDirective kNoShed;
-  round_.swap(pending_);
-  std::sort(round_.begin(), round_.end());
-  for (const SubscriberId sub : round_) {
-    Sub& slot = subs_.find(sub)->second;
-    ++stats.queues_visited;
+  // Visit the queues whose due time has come, plus every queue of a
+  // subscriber with a shed directive; the rest would do nothing.
+  for (const PendingEntry& e : pending_) {
     const ShedDirective* d = &kNoShed;
     if (shed != nullptr) {
-      const auto it = shed->find(sub);
+      const auto it = shed->find(e.sub);
       if (it != shed->end()) d = &it->second;
     }
+    if (e.due <= now || d != &kNoShed) round_.push_back({e.sub, e.s, d});
+  }
+  // Canonical (ascending subscriber id) order: the wire stream and the
+  // weight_delivered sum depend on it. Sink callbacks must not touch this
+  // dyconit's subscription set or enqueue into it.
+  std::sort(round_.begin(), round_.end(),
+            [](const Visit& a, const Visit& b) { return a.sub < b.sub; });
+  for (const Visit& v : round_) {
+    ++stats.queues_visited;
     // take_scratch_ is reused across pairs (and ticks): take_into swaps its
     // capacity back into the queue, so the steady-state loop performs no
     // vector allocations.
     PendingFlush& p = take_scratch_;
     p.reset();
-    take_due_core(slot, now, snapshot_threshold, *d, p);
+    take_due_core(*v.s, now, *v.shed, p);
     if (p.kind != PendingFlush::Kind::None || p.shed > 0) {
-      settle(sub, p, now, sink, stats);
+      settle(v.sub, p, now, sink, stats);
     }
-    if (slot.queue.empty()) {
-      slot.pending = false;
+    if (v.s->queue.empty()) {
+      remove_pending(*v.s);
     } else {
-      pending_.push_back(sub);
+      pending_[v.s->slot].due = due_of(*v.s);
     }
   }
   round_.clear();
-  scheduled_ = !pending_.empty();
-  return scheduled_;
+  next_due_ = kNever;
+  for (const PendingEntry& e : pending_) next_due_ = std::min(next_due_, e.due);
 }
 
 void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
@@ -205,6 +239,7 @@ void Dyconit::flush_subscriber(SubscriberId sub, SimTime now, FlushSink& sink,
   p.kind = PendingFlush::Kind::Flush;
   p.reason = reason;
   it->second.queue.take_into(p.updates);
+  remove_pending(it->second);
   settle(sub, p, now, sink, stats);
 }
 
@@ -216,7 +251,11 @@ void Dyconit::flush_all(SimTime now, FlushSink& sink, Stats& stats) {
 
 void Dyconit::for_each_subscriber(
     const std::function<void(SubscriberId, Bounds&, const SubscriberQueue&)>& fn) {
-  for (auto& [sub, s] : subs_) fn(sub, s.bounds, s.queue);
+  for (auto& [sub, s] : subs_) {
+    const Bounds before = s.bounds;
+    fn(sub, s.bounds, s.queue);
+    if (s.slot != kNotPending && !(s.bounds == before)) refresh_due(s);
+  }
 }
 
 std::size_t Dyconit::total_queued() const {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -48,8 +49,11 @@ struct Stats {
   double shed_weight = 0.0;
   /// Work counters for the flush round (DESIGN.md §3): (dyconit,
   /// subscriber) queues examined by flush_due, and dyconits examined by
-  /// the garbage collector. Both follow pending queues and unsubscribes,
-  /// not the number of subscriptions.
+  /// the garbage collector. A queue is examined only once its cached due
+  /// time has come (or its subscriber has a shed directive), so
+  /// queues_visited follows the queues that flush, snapshot or shed, not
+  /// the pending ones; gc_checked follows unsubscribes. Neither follows
+  /// the number of subscriptions.
   std::uint64_t queues_visited = 0;
   std::uint64_t gc_checked = 0;
 
@@ -170,8 +174,15 @@ class SubscriberQueue {
   double total_weight_ = 0.0;
 };
 
+class DyconitSystem;
+
 class Dyconit {
  public:
+  /// Due-time sentinels: a queue due at kDueNow is due at any flush_due;
+  /// next_due() is kNever while nothing is pending.
+  static constexpr SimTime kDueNow{std::numeric_limits<std::int64_t>::min()};
+  static constexpr SimTime kNever{std::numeric_limits<std::int64_t>::max()};
+
   Dyconit(DyconitId id, Bounds default_bounds);
 
   DyconitId id() const { return id_; }
@@ -180,7 +191,8 @@ class Dyconit {
   Bounds default_bounds() const { return default_bounds_; }
   void set_default_bounds(Bounds b) { default_bounds_ = b; }
 
-  /// Subscribing twice updates the bounds and keeps the queue.
+  /// Subscribing twice updates the bounds (and the queue's due time) and
+  /// keeps the queue.
   void subscribe(SubscriberId sub, Bounds b);
   void subscribe(SubscriberId sub) { subscribe(sub, default_bounds_); }
 
@@ -196,28 +208,34 @@ class Dyconit {
   Bounds bounds_of(SubscriberId sub) const;
 
   /// Queues `u` toward every subscriber except `exclude` (the originator,
-  /// which already knows its own action). Returns true when the dyconit
-  /// was not scheduled and now has pending queues: the owner must then
-  /// call flush_due on a later round (DyconitSystem keeps these on its
-  /// active list).
+  /// which already knows its own action). Returns true when next_due()
+  /// moved earlier (possibly from kNever): the owner must then re-key its
+  /// flush schedule (DyconitSystem's due heap).
   bool enqueue(const Update& u, SubscriberId exclude, Stats& stats);
 
+  /// Queues holding more than `n` updates are dropped at flush_due and the
+  /// sink is asked for a snapshot instead (0 disables, the default). Due
+  /// times account for it from enqueue on, so a change re-derives every
+  /// pending queue's due time.
+  void set_snapshot_threshold(std::size_t n);
+
   /// Flushes every subscriber queue that violates its bounds at `now`, in
-  /// canonical (ascending subscriber id) order. If `snapshot_threshold` > 0,
-  /// a queue holding more updates than that is dropped and the sink is
-  /// asked for a snapshot instead. `shed` (optional) applies per-subscriber
-  /// overload directives before the due check. Visits only the queues that
-  /// received an update since they were last seen empty; an empty queue is
-  /// never due, never snapshotted and has nothing to shed, so skipping it
-  /// changes no sink call and no Stats field. Returns scheduled(): whether
-  /// queues are still pending afterwards.
-  bool flush_due(SimTime now, FlushSink& sink, Stats& stats,
-                 std::size_t snapshot_threshold = 0,
+  /// canonical (ascending subscriber id) order, or drops it for a snapshot
+  /// (set_snapshot_threshold). `shed` (optional) applies per-subscriber
+  /// overload directives before the due check. Visits only the queues whose
+  /// cached due time has come or whose subscriber has a directive
+  /// (DESIGN.md §3): the due time is never later than the first `now` at
+  /// which the visit would act, so skipping the others changes no sink call
+  /// and no Stats field but queues_visited.
+  void flush_due(SimTime now, FlushSink& sink, Stats& stats,
                  const ShedDirectiveMap* shed = nullptr);
 
-  /// True while some queue may be non-empty and flush_due has to visit it:
-  /// set by an enqueue that returned true, recomputed by flush_due.
-  bool scheduled() const { return scheduled_; }
+  /// True while some queue is non-empty.
+  bool scheduled() const { return !pending_.empty(); }
+  /// The earliest cached due time over the non-empty queues (kNever when
+  /// there are none). No flush_due before it acts, unless a shed directive
+  /// is installed; it may be earlier than needed, never later.
+  SimTime next_due() const { return next_due_; }
 
   /// Subscriber ids in canonical (ascending) order — the order flush work
   /// is settled in. Lazily rebuilt after subscribe/unsubscribe; the
@@ -231,7 +249,8 @@ class Dyconit {
   void flush_all(SimTime now, FlushSink& sink, Stats& stats);
 
   /// Visits (subscriber, mutable bounds, queue) — used by adaptive policies
-  /// to retune bounds in place.
+  /// to retune bounds in place. Each visited queue's due time is re-derived
+  /// from the bounds `fn` leaves.
   void for_each_subscriber(
       const std::function<void(SubscriberId, Bounds&, const SubscriberQueue&)>& fn);
 
@@ -239,16 +258,43 @@ class Dyconit {
   bool idle() const { return subs_.empty(); }
 
  private:
+  static constexpr std::size_t kNotPending = std::numeric_limits<std::size_t>::max();
+
   struct Sub {
     Bounds bounds;
     SubscriberQueue queue;
-    bool pending = false;  ///< id is on pending_
+    std::size_t slot = kNotPending;  ///< its entry on pending_, if non-empty
   };
+
+  /// A non-empty queue and its cached due time (see next_due()).
+  struct PendingEntry {
+    SimTime due;
+    SubscriberId sub;
+    Sub* s;  ///< subs_ is node-based: stable until the id is unsubscribed
+  };
+
+  /// A queue take_due_core would act on at any `now`: too long for the
+  /// snapshot threshold, or over its numerical bound.
+  bool over_bound(const Sub& s) const {
+    return (snapshot_threshold_ > 0 && s.queue.size() > snapshot_threshold_) ||
+           s.queue.total_weight() > s.bounds.numerical;
+  }
+  /// The first time take_due_core acts on the non-empty queue in `s` with
+  /// no shed directive: kDueNow if over_bound, else when the oldest entry
+  /// reaches the staleness bound.
+  SimTime due_of(const Sub& s) const {
+    return over_bound(s) ? kDueNow : s.queue.oldest_created() + s.bounds.staleness;
+  }
+  /// Re-derives the due time of a pending queue (may move either way);
+  /// next_due_ only moves earlier.
+  void refresh_due(Sub& s);
+  /// pending_ bookkeeping; the last removal resets next_due_ to kNever.
+  void add_pending(SubscriberId sub, Sub& s);
+  void remove_pending(Sub& s);
 
   /// Applies `shed`, then decides whether the queue in `s` is due at `now`
   /// and, if so, takes its contents into `p` (reset by the caller).
-  void take_due_core(Sub& s, SimTime now, std::size_t snapshot_threshold,
-                     const ShedDirective& shed, PendingFlush& p);
+  void take_due_core(Sub& s, SimTime now, const ShedDirective& shed, PendingFlush& p);
 
   /// Accounts `p` and hands it to the sink (deliver or request_snapshot).
   /// No-op for Kind::None.
@@ -261,17 +307,28 @@ class Dyconit {
   mutable std::vector<SubscriberId> sorted_subs_;
   mutable bool subs_dirty_ = true;
 
-  /// Subscribers whose queue went from empty to non-empty since flush_due
-  /// last found it empty, in no particular order, without duplicates (the
-  /// Sub::pending flag). Unsubscribe removes the id.
-  std::vector<SubscriberId> pending_;
-  bool scheduled_ = false;
+  /// Exactly the non-empty queues, in no particular order (Sub::slot is
+  /// each one's index), each with its due time. Every path that changes
+  /// what take_due_core would do — enqueue, subscribe, set_bounds,
+  /// for_each_subscriber, the snapshot threshold — re-derives or lowers
+  /// the due time; a take that empties a queue removes its entry.
+  std::vector<PendingEntry> pending_;
+  SimTime next_due_ = kNever;
+  std::size_t snapshot_threshold_ = 0;
+  /// This dyconit's slot in its DyconitSystem's due heap.
+  friend class DyconitSystem;
+  std::size_t schedule_pos_ = kNotPending;
 
   // Flush-round scratch, reused so flush_due stays allocation-free in
-  // steady state: round_ holds the ids being visited, take_scratch_
+  // steady state: round_ holds the queues being visited, take_scratch_
   // circulates update-vector capacity with the queues, views_scratch_
   // backs settle's borrowed views.
-  std::vector<SubscriberId> round_;
+  struct Visit {
+    SubscriberId sub;
+    Sub* s;
+    const ShedDirective* shed;
+  };
+  std::vector<Visit> round_;
   PendingFlush take_scratch_;
   std::vector<FlushSink::FlushedUpdate> views_scratch_;
 };

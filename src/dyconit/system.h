@@ -43,9 +43,11 @@ class DyconitSystem {
   /// One middleware tick: flushes every (dyconit, subscriber) queue that
   /// violates its bounds at clock.now() in canonical (dyconit, subscriber)
   /// order, then garbage-collects dyconits with no subscribers. Only
-  /// pending queues are visited and only dyconits created or unsubscribed
-  /// from since the last tick are GC-checked (DESIGN.md §3), so the cost
-  /// follows held-back updates, not subscriptions.
+  /// queues whose cached due time has come are visited (all of a
+  /// subscriber's queues while it has a shed directive), and only dyconits
+  /// created or unsubscribed from since the last tick are GC-checked
+  /// (DESIGN.md §3), so the cost follows the queues that flush, not the
+  /// pending ones or the subscriptions.
   void tick(FlushSink& sink);
 
   /// Forced full flush (server shutdown, snapshot, tests).
@@ -62,7 +64,8 @@ class DyconitSystem {
 
   /// Subscriptions and updates must go through the methods above, not
   /// through the Dyconit reference: they keep tick()'s flush schedule and
-  /// GC candidates.
+  /// GC candidates. Bounds `fn` changes (Dyconit::for_each_subscriber)
+  /// re-key the schedule when it returns.
   void for_each(const std::function<void(Dyconit&)>& fn);
 
   Stats& stats() { return stats_; }
@@ -71,7 +74,7 @@ class DyconitSystem {
 
   /// Queues longer than this are dropped at tick() in favor of a snapshot
   /// (FlushSink::request_snapshot). 0 disables.
-  void set_snapshot_threshold(std::size_t n) { snapshot_threshold_ = n; }
+  void set_snapshot_threshold(std::size_t n);
   std::size_t snapshot_threshold() const { return snapshot_threshold_; }
 
   /// Overload control (DESIGN.md §10): installs the shed directive applied
@@ -90,10 +93,16 @@ class DyconitSystem {
   /// Dyconits in canonical (DyconitId::operator<) order; lazily rebuilt
   /// after create/GC. Pointers stay valid across rebuilds (unique_ptr).
   const std::vector<Dyconit*>& sorted_dyconits();
-  /// Erases the candidates that are idle. Runs right after the flush
-  /// round, when every dyconit left on active_ has a pending (so still
-  /// subscribed) subscriber; none of them is erased.
+  /// Erases the candidates that are idle. An idle dyconit has no queue, so
+  /// it is not on the due heap.
   void gc();
+
+  /// Puts `d` where its schedule belongs: on the due heap keyed by
+  /// next_due() while it has pending queues, off it otherwise. Called
+  /// after every operation that can change either.
+  void reschedule(Dyconit& d);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
 
   const SimClock& clock_;
   std::unordered_map<DyconitId, std::unique_ptr<Dyconit>> dyconits_;
@@ -104,9 +113,15 @@ class DyconitSystem {
   mutable std::vector<Dyconit*> sorted_cache_;
   mutable bool dyconits_dirty_ = true;
 
-  /// Dyconits with pending queues (Dyconit::scheduled()), unordered; tick()
-  /// sorts them into canonical order. round_ is the tick's scratch.
-  std::vector<Dyconit*> active_;
+  /// The due heap: every dyconit with pending queues, in a binary min-heap
+  /// on next_due(). Each dyconit records its slot (Dyconit::schedule_pos_),
+  /// so a re-key is O(log n) and tick() reads the due ones off the top.
+  /// round_ is the tick's scratch; tick() sorts it into canonical order.
+  struct Scheduled {
+    SimTime due;
+    Dyconit* d;
+  };
+  std::vector<Scheduled> schedule_;
   std::vector<Dyconit*> round_;
   /// Dyconits that may have become idle since the last gc(): created, or
   /// lost their last subscriber. May hold duplicates and erased ids.

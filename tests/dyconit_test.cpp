@@ -2,6 +2,7 @@
 // flush reasons, system lifecycle.
 #include <gtest/gtest.h>
 
+#include "dyconit/policy.h"
 #include "dyconit/system.h"
 
 namespace dyconits::dyconit {
@@ -296,11 +297,12 @@ TEST_F(DyconitTest, SnapshotThresholdDropsQueueAndAsksForSnapshot) {
     std::vector<std::pair<SubscriberId, DyconitId>> requests;
   } sink;
 
+  d_.set_snapshot_threshold(4);
   d_.subscribe(1, Bounds::infinite());
   for (std::uint32_t i = 1; i <= 10; ++i) {
     d_.enqueue(move_update(i, i, 1, SimTime(0)), kNoSubscriber, stats_);
   }
-  d_.flush_due(SimTime(1), sink, stats_, /*snapshot_threshold=*/4);
+  d_.flush_due(SimTime(1), sink, stats_);
   EXPECT_TRUE(sink.records.empty());          // deltas were dropped, not sent
   ASSERT_EQ(sink.requests.size(), 1u);
   EXPECT_EQ(sink.requests[0].first, 1u);
@@ -315,17 +317,19 @@ TEST_F(DyconitTest, SnapshotThresholdZeroDisables) {
   for (std::uint32_t i = 1; i <= 10; ++i) {
     d_.enqueue(move_update(i, i, 1, SimTime(0)), kNoSubscriber, stats_);
   }
-  d_.flush_due(SimTime(1), sink_, stats_, 0);
+  d_.set_snapshot_threshold(0);
+  d_.flush_due(SimTime(1), sink_, stats_);
   EXPECT_EQ(stats_.snapshots_requested, 0u);
   EXPECT_EQ(d_.total_queued(), 10u);
 }
 
 TEST_F(DyconitTest, QueueAtThresholdIsNotSnapshotted) {
+  d_.set_snapshot_threshold(4);
   d_.subscribe(1, Bounds::zero());
   for (std::uint32_t i = 1; i <= 4; ++i) {
     d_.enqueue(move_update(i, i, 1, SimTime(0)), kNoSubscriber, stats_);
   }
-  d_.flush_due(SimTime(0), sink_, stats_, 4);  // size == threshold: normal flush
+  d_.flush_due(SimTime(0), sink_, stats_);  // size == threshold: normal flush
   EXPECT_EQ(stats_.snapshots_requested, 0u);
   EXPECT_EQ(sink_.records.size(), 4u);
 }
@@ -427,39 +431,164 @@ TEST_F(SystemTest, SetBoundsAffectsFlushDecision) {
   EXPECT_EQ(sink_.records.size(), 1u);
 }
 
-TEST_F(SystemTest, TickVisitsOnlyPendingQueues) {
-  // 400 dyconits x 50 subscribers with infinite bounds: one update fans out
-  // to 50 queues, and the flush round examines exactly those 50, not all
+TEST_F(SystemTest, TickVisitsOnlyDueQueues) {
+  // 400 dyconits x 50 subscribers with a 100 ms staleness bound: one update
+  // fans out to 50 queues, all due at t=100 ms. A round examines a queue
+  // only once its due time has come, not every pending queue and never all
   // 20,000 subscriptions.
+  const Bounds hundred_ms{SimDuration::millis(100), 1e9};
   for (int d = 0; d < 400; ++d) {
     for (SubscriberId s = 1; s <= 50; ++s) {
-      sys_.subscribe(DyconitId::chunk_entities({d, 0}), s, Bounds::infinite());
+      sys_.subscribe(DyconitId::chunk_entities({d, 0}), s, hundred_ms);
     }
   }
   sys_.tick(sink_);  // settles GC of the freshly created dyconits
+  const auto hot = DyconitId::chunk_entities({123, 0});
   const std::uint64_t visited0 = sys_.stats().queues_visited;
-  sys_.update(DyconitId::chunk_entities({123, 0}), move_update(7, 1, 1, clock_.now()));
-  sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
-  EXPECT_TRUE(sink_.records.empty());
+  sys_.update(hot, move_update(7, 1, 1, clock_.now()));
   EXPECT_EQ(sys_.total_queued(), 50u);
 
-  // The queues are still non-empty, so they stay pending ...
+  // 0: the 50 pending queues are not due before t=100 ms, so neither this
+  // round nor one at t=50 ms examines them.
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 100u);
-  // ... until a forced flush empties them; the next round drops them.
-  sys_.flush_all(sink_);
+  clock_.advance(SimDuration::millis(50));
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 0u);
+  EXPECT_TRUE(sink_.records.empty());
+
+  // 1: tightening subscriber 7 makes exactly its queue due now.
+  sys_.set_bounds(hot, 7, Bounds::zero());
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(sink_.records[0].to, 7u);
+
+  // 49: at t=100 ms the other queues come due together, and each visit
+  // flushes.
+  clock_.advance(SimDuration::millis(50));
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
   EXPECT_EQ(sink_.records.size(), 50u);
+  EXPECT_EQ(sys_.total_queued(), 0u);
+
+  // With infinite bounds a pending queue is never due: 50 more pending
+  // queues cost no visit, and a forced flush empties them without one.
+  for (SubscriberId s = 1; s <= 50; ++s) sys_.set_bounds(hot, s, Bounds::infinite());
+  sys_.update(hot, move_update(8, 1, 1, clock_.now()));
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 150u);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
+  sys_.flush_all(sink_);
+  EXPECT_EQ(sink_.records.size(), 100u);
 
   // With nothing pending and no unsubscribe, a tick does no work at all.
-  const std::uint64_t visited1 = sys_.stats().queues_visited;
   const std::uint64_t gc1 = sys_.stats().gc_checked;
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited, visited1);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
   EXPECT_EQ(sys_.stats().gc_checked, gc1);
   EXPECT_EQ(sys_.dyconit_count(), 400u);
+}
+
+TEST_F(SystemTest, SecondTickWithoutBoundChangeVisitsNothing) {
+  // The server's second flush round of a tick: every queue the first round
+  // left pending has a due time in the future, so it examines none.
+  for (SubscriberId s = 1; s <= 8; ++s) {
+    sys_.subscribe(DyconitId::chunk_entities({0, 0}), s,
+                   s % 2 == 0 ? Bounds::zero() : Bounds{SimDuration::millis(200), 1e9});
+  }
+  sys_.update(DyconitId::chunk_entities({0, 0}), move_update(7, 1, 1, clock_.now()));
+  sys_.tick(sink_);
+  EXPECT_EQ(sink_.records.size(), 4u);  // the zero-bound half
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited, visited0);
+  EXPECT_EQ(sys_.total_queued(), 4u);
+}
+
+TEST_F(SystemTest, SetBoundsTighteningMakesThatQueueDueThisTick) {
+  const auto a = DyconitId::chunk_entities({0, 0});
+  const auto b = DyconitId::chunk_entities({1, 0});
+  for (const auto& id : {a, b}) {
+    for (SubscriberId s = 1; s <= 3; ++s) sys_.subscribe(id, s, Bounds::infinite());
+    sys_.update(id, move_update(7, 1, 1, clock_.now()));
+  }
+  sys_.tick(sink_);
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+  sys_.set_bounds(b, 2, Bounds::zero());
+  sys_.tick(sink_);  // same sim time
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(sink_.records[0].to, 2u);
+  EXPECT_EQ(sys_.total_queued(), 5u);
+}
+
+TEST_F(SystemTest, RetuneTighteningMakesThatQueueDueThisTick) {
+  // A policy that tightens one subscriber (standing at x=1) to zero.
+  struct TightenAtOne : Policy {
+    std::string name() const override { return "tighten-at-one"; }
+    Bounds bounds_for(const DyconitId&, const world::Vec3& pos) const override {
+      return pos.x == 1.0 ? Bounds::zero() : Bounds::infinite();
+    }
+  } policy;
+  const auto id = DyconitId::chunk_entities({0, 0});
+  for (SubscriberId s = 1; s <= 4; ++s) sys_.subscribe(id, s, Bounds::infinite());
+  sys_.update(id, move_update(7, 1, 1, clock_.now()));
+  sys_.tick(sink_);
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+
+  std::vector<PlayerView> players;
+  for (SubscriberId s = 1; s <= 4; ++s) {
+    players.push_back({s, s, {s == 3 ? 1.0 : 0.0, 0, 0}, SimDuration{}});
+  }
+  LoadSample load;
+  PolicyContext ctx(sys_, players, load);
+  retune_all_bounds(policy, ctx);
+  sys_.tick(sink_);  // same sim time
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(sink_.records[0].to, 3u);
+}
+
+TEST_F(SystemTest, NumericalCrossingAtEnqueueFlushesBeforeStaleness) {
+  const auto id = DyconitId::chunk_entities({0, 0});
+  sys_.subscribe(id, 1, Bounds{SimDuration::seconds(10), 2.0});
+  sys_.update(id, move_update(7, 1, 1.5, clock_.now()));
+  clock_.advance(SimDuration::millis(50));
+  sys_.tick(sink_);
+  EXPECT_TRUE(sink_.records.empty());  // due at t=10 s: not examined
+  const std::uint64_t visited0 = sys_.stats().queues_visited;
+  sys_.update(id, move_update(7, 2, 1.5, clock_.now()));  // 3.0 > 2: due now
+  clock_.advance(SimDuration::millis(50));
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(sys_.stats().flushes_numerical, 1u);
+}
+
+TEST_F(SystemTest, ShedDirectiveVisitsItsSubscribersQueuesEveryRound) {
+  // Subscriber 1 holds a block update (never shed) in three dyconits with
+  // infinite bounds; subscriber 2 holds the same but has no directive.
+  for (int d = 0; d < 3; ++d) {
+    const auto id = DyconitId::chunk_blocks({d, 0});
+    sys_.subscribe(id, 1, Bounds::infinite());
+    sys_.subscribe(id, 2, Bounds::infinite());
+    Update u = move_update(7, 1, 1, clock_.now());
+    u.coalesce_key = coalesce_key_block({d, 64, 0});
+    sys_.update(id, u);
+  }
+  ShedDirective shed;
+  shed.shed_entity_moves = true;
+  sys_.set_shed_directive(1, shed);
+  for (int round = 1; round <= 3; ++round) {
+    const std::uint64_t visited0 = sys_.stats().queues_visited;
+    sys_.tick(sink_);
+    EXPECT_EQ(sys_.stats().queues_visited - visited0, 3u) << "round " << round;
+  }
+  EXPECT_TRUE(sink_.records.empty());
+  EXPECT_EQ(sys_.stats().shed_updates, 0u);
+  sys_.clear_shed_directives();
+  const std::uint64_t visited1 = sys_.stats().queues_visited;
+  sys_.tick(sink_);
+  EXPECT_EQ(sys_.stats().queues_visited, visited1);
 }
 
 TEST_F(SystemTest, GcChecksOnlyDyconitsThatLostASubscriber) {

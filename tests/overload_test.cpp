@@ -226,6 +226,104 @@ TEST(EgressQueueTest, CoalesceAfterCompactionHitsTheShiftedSlot) {
   EXPECT_EQ(q.bytes(), 0u);
 }
 
+TEST(EgressQueueTest, EvictionAndCoalescingInterleaveAcrossIndexGrowth) {
+  // A byte cap that holds ~60 frames while the stream offers ~150 distinct
+  // keys: the queue fills to its cap, evicts moves, coalesces moves and
+  // block edits, and pops, all while its index grows past 64 slots. A
+  // linear-scan model of the same overflow ladder must agree on every
+  // push result and on the drained stream.
+  struct Model {
+    std::vector<EgressQueue::Item> items;
+    std::size_t bytes = 0;
+    std::size_t cap = 0;
+    void evict(std::size_t incoming) {
+      for (auto it = items.begin(); it != items.end() && bytes + incoming > cap;) {
+        if (dyconit::is_entity_move_key(it->key)) {
+          bytes -= it->bytes;
+          it = items.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    EgressQueue::PushResult push(const AnyMessage& m, std::uint64_t key, std::size_t b) {
+      for (auto& it : items) {
+        if (key == 0 || it.key != key) continue;
+        bytes = bytes - it.bytes + b;
+        it.msg = m;
+        it.bytes = b;
+        if (bytes > cap) evict(0);
+        return EgressQueue::PushResult::Coalesced;
+      }
+      if (bytes + b > cap) evict(b);
+      if (bytes + b > cap) {
+        return std::get_if<protocol::EntityMove>(&m) != nullptr
+                   ? EgressQueue::PushResult::DroppedMove
+                   : EgressQueue::PushResult::DroppedPoison;
+      }
+      items.push_back({m, SimTime::zero(), key, b});
+      bytes += b;
+      return EgressQueue::PushResult::Queued;
+    }
+  };
+
+  EgressQueue q;
+  OverloadConfig cfg;
+  cfg.queue_cap_bytes = 60 * wire_bytes(move_msg(1, 1.0));
+  cfg.queue_cap_frames = 0;
+  OverloadStats stats;
+  Model model;
+  model.cap = cfg.queue_cap_bytes;
+  Rng rng(2026);
+  std::size_t peak_frames = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 15) {
+      if (q.empty()) continue;
+      const EgressQueue::Item got = q.pop_front();
+      ASSERT_FALSE(model.items.empty());
+      EXPECT_EQ(got.key, model.items.front().key) << "step " << step;
+      EXPECT_EQ(protocol::encode(got.msg).payload,
+                protocol::encode(model.items.front().msg).payload)
+          << "step " << step;
+      model.bytes -= model.items.front().bytes;
+      model.items.erase(model.items.begin());
+      continue;
+    }
+    AnyMessage m;
+    std::uint64_t key = 0;
+    if (op < 75) {
+      const auto id = static_cast<entity::EntityId>(rng.next_below(120) + 1);
+      m = move_msg(id, static_cast<double>(step));
+      key = coalesce_key_entity(id);
+    } else {
+      const auto x = static_cast<std::int32_t>(rng.next_below(30));
+      m = block_msg(x, step % 2 == 0 ? world::Block::Stone : world::Block::Air);
+      key = dyconit::coalesce_key_block({x, 10, 0});
+    }
+    const std::size_t b = wire_bytes(m);
+    EXPECT_EQ(q.push(m, SimTime::zero(), key, b, cfg, stats), model.push(m, key, b))
+        << "step " << step;
+    ASSERT_EQ(q.frames(), model.items.size()) << "step " << step;
+    ASSERT_EQ(q.bytes(), model.bytes) << "step " << step;
+    ASSERT_LE(q.bytes(), cfg.queue_cap_bytes);
+    peak_frames = std::max(peak_frames, q.frames());
+  }
+  EXPECT_GT(stats.egress_evicted_moves, 0u);
+  EXPECT_GT(stats.egress_coalesced, 0u);
+  EXPECT_GT(peak_frames, 32u);  // an index of 64+ slots
+  while (!q.empty()) {
+    const EgressQueue::Item got = q.pop_front();
+    ASSERT_FALSE(model.items.empty());
+    EXPECT_EQ(got.key, model.items.front().key);
+    EXPECT_EQ(protocol::encode(got.msg).payload,
+              protocol::encode(model.items.front().msg).payload);
+    model.items.erase(model.items.begin());
+  }
+  EXPECT_TRUE(model.items.empty());
+  EXPECT_EQ(q.bytes(), 0u);
+}
+
 // ------------------------------------------------------------------ ladder
 
 TEST(DegradationLadderTest, EngagesOneRungPerConsecutiveWindow) {

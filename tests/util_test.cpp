@@ -620,19 +620,197 @@ TEST(CoalescingQueueTest, CompactionShiftsIndexAndCoalescesInPlace) {
   }
 }
 
+/// `n` distinct nonzero keys whose home slot in a `capacity`-slot index is
+/// `slot`, skipping the keys in `avoid`.
+std::vector<std::uint64_t> keys_homed_at(std::size_t slot, std::size_t capacity,
+                                         std::size_t n,
+                                         const std::vector<std::uint64_t>& avoid = {}) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k = 1; out.size() < n; ++k) {
+    if (Queue::home_slot(k, capacity) != slot) continue;
+    if (std::find(avoid.begin(), avoid.end(), k) != avoid.end()) continue;
+    out.push_back(k);
+  }
+  return out;
+}
+
+TEST(CoalescingQueueTest, EraseChainWrapsPastTheEndOfTheTable) {
+  // Three keys homed at the last slot of the 8-slot index occupy 7, 0 and
+  // 1; a key homed at 0 is displaced to 2. Popping the first key empties
+  // slot 7, and the backward shift must carry the chain back across the
+  // wrap: every survivor stays findable and coalesces in place.
+  Queue q;
+  const std::vector<std::uint64_t> last = keys_homed_at(7, 8, 3);
+  const std::uint64_t zero = keys_homed_at(0, 8, 1, last)[0];
+  const std::uint64_t keys[] = {last[0], last[1], last[2], zero};
+  for (int i = 0; i < 4; ++i) upsert(q, keys[i], i + 1);
+  ASSERT_EQ(q.index_capacity(), 8u);
+  EXPECT_EQ(q.pop_front().value, 1);
+  EXPECT_EQ(q.find(last[0]), nullptr);
+  for (int i = 1; i < 4; ++i) {
+    ASSERT_NE(q.find(keys[i]), nullptr) << "key " << i;
+    EXPECT_TRUE(upsert(q, keys[i], 10 * (i + 1)));
+  }
+  EXPECT_EQ(values(q), (std::vector<int>{20, 30, 40}));
+  // Pop the rest one at a time; each erase re-closes the chain.
+  EXPECT_EQ(q.pop_front().value, 20);
+  ASSERT_NE(q.find(zero), nullptr);
+  EXPECT_EQ(q.find(zero)->value, 40);
+  EXPECT_EQ(q.pop_front().value, 30);
+  EXPECT_EQ(q.find(zero)->value, 40);
+  EXPECT_FALSE(upsert(q, last[0], 5));  // re-enters the wrapped run
+  EXPECT_EQ(values(q), (std::vector<int>{40, 5}));
+}
+
+TEST(CoalescingQueueTest, KeysCollidingOnTheirHomeSlotStayDistinct) {
+  // 24 keys in three home slots of a 64-slot index (adjacent runs that
+  // merge): each must coalesce only with itself, before and after entries
+  // leave from the middle of the runs.
+  Queue q;
+  std::vector<std::uint64_t> keys;
+  for (const std::size_t slot : {5u, 6u, 63u}) {
+    for (const std::uint64_t k : keys_homed_at(slot, 64, 8, keys)) keys.push_back(k);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) upsert(q, keys[i], static_cast<int>(i));
+  ASSERT_EQ(q.index_capacity(), 64u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(upsert(q, keys[i], 100 + static_cast<int>(i)));
+  }
+  EXPECT_EQ(q.size(), keys.size());
+  // Remove every third key; survivors keep their values and order.
+  const auto gone = [&](std::uint64_t k) {
+    return (std::find(keys.begin(), keys.end(), k) - keys.begin()) % 3 == 0;
+  };
+  EXPECT_EQ(q.remove_if([&](const Entry& e) { return gone(e.key); }), 8u);
+  std::vector<int> want;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (gone(keys[i])) {
+      EXPECT_EQ(q.find(keys[i]), nullptr);
+    } else {
+      ASSERT_NE(q.find(keys[i]), nullptr);
+      EXPECT_EQ(q.find(keys[i])->value, 100 + static_cast<int>(i));
+      want.push_back(100 + static_cast<int>(i));
+    }
+  }
+  EXPECT_EQ(values(q), want);
+}
+
+TEST(CoalescingQueueTest, GrowBetweenCoalescesKeepsEverySlot) {
+  // Coalesces interleave with the pushes that double the index (8 -> 16 ->
+  // 32 -> 64); after each grow every queued key still maps to its slot.
+  Queue q;
+  std::size_t grows = 0;
+  for (int i = 1; i <= 30; ++i) {
+    const std::size_t before = q.index_capacity();
+    EXPECT_FALSE(upsert(q, static_cast<std::uint64_t>(i), i));
+    if (q.index_capacity() != before) ++grows;
+    for (int j = 1; j <= i; j += 3) {
+      EXPECT_TRUE(upsert(q, static_cast<std::uint64_t>(j), -j));
+    }
+  }
+  EXPECT_EQ(grows, 4u);
+  EXPECT_EQ(q.index_capacity(), 64u);
+  ASSERT_EQ(q.size(), 30u);
+  for (int i = 1; i <= 30; ++i) {
+    EXPECT_EQ(q[static_cast<std::size_t>(i - 1)].value, (i - 1) % 3 == 0 ? -i : i);
+  }
+}
+
+TEST(CoalescingQueueTest, CompactionRebaseThenCoalesceIntoEveryShiftedSlot) {
+  Queue q;
+  for (int i = 1; i <= 300; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  upsert(q, 0, 0);  // an unindexed entry rides along
+  // 160 pops cross the compaction point: the live tail moves down to slot
+  // 0 and every index entry is re-based in place.
+  for (int i = 1; i <= 160; ++i) ASSERT_EQ(q.pop_front().value, i);
+  ASSERT_EQ(q.size(), 141u);
+  for (int i = 161; i <= 300; ++i) {
+    EXPECT_TRUE(upsert(q, static_cast<std::uint64_t>(i), -i));
+  }
+  EXPECT_EQ(q.size(), 141u);
+  EXPECT_FALSE(upsert(q, 160, 160));  // a popped key queues fresh at the back
+  for (int i = 161; i <= 300; ++i) EXPECT_EQ(q.pop_front().value, -i);
+  EXPECT_EQ(q.pop_front().value, 0);
+  EXPECT_EQ(q.pop_front().value, 160);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CoalescingQueueTest, RemoveIfRebuildsTheIndex) {
+  // The rebuild after a removal re-inserts only the survivors: removed keys
+  // are gone, surviving keys coalesce into their new slots, and the index
+  // keeps its capacity.
+  Queue q;
+  for (int i = 1; i <= 100; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  const std::size_t capacity = q.index_capacity();
+  EXPECT_EQ(q.remove_if([](const Entry& e) { return e.key <= 90; }), 90u);
+  EXPECT_EQ(q.index_capacity(), capacity);
+  for (int i = 1; i <= 90; ++i) EXPECT_EQ(q.find(static_cast<std::uint64_t>(i)), nullptr);
+  for (int i = 91; i <= 100; ++i) EXPECT_TRUE(upsert(q, static_cast<std::uint64_t>(i), -i));
+  EXPECT_FALSE(upsert(q, 5, 5));
+  EXPECT_EQ(values(q), (std::vector<int>{-91, -92, -93, -94, -95, -96, -97, -98, -99, -100, 5}));
+}
+
+TEST(CoalescingQueueTest, TakeAfterABurstReleasesTheStorage) {
+  Queue q;
+  for (int i = 1; i <= 10000; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  EXPECT_GE(q.index_capacity(), 20000u);
+  std::vector<Entry> out;
+  q.take_into(out);
+  ASSERT_EQ(out.size(), 10000u);
+  for (int i = 1; i <= 3; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+  EXPECT_LE(q.index_capacity(), 8u);
+  EXPECT_LE(q.capacity(), 64u);
+  EXPECT_EQ(values(q), (std::vector<int>{1, 2, 3}));
+
+  // The same through clear(), where the queue still owns the burst's
+  // buffer.
+  Queue c;
+  for (int i = 1; i <= 10000; ++i) upsert(c, static_cast<std::uint64_t>(i), i);
+  c.clear();
+  for (int i = 1; i <= 3; ++i) upsert(c, static_cast<std::uint64_t>(i), i);
+  EXPECT_LE(c.index_capacity(), 8u);
+  EXPECT_LE(c.capacity(), 64u);
+}
+
+TEST(CoalescingQueueTest, SteadySizeKeepsItsStorage) {
+  // A queue that holds ~200 entries at every take settles on storage that
+  // fits them and then keeps it: no release, no regrowth.
+  Queue q;
+  std::vector<Entry> out;
+  std::size_t index_capacity = 0;
+  const Entry* buffer = nullptr;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 1; i <= 200; ++i) upsert(q, static_cast<std::uint64_t>(i), i);
+    if (round == 20) {
+      index_capacity = q.index_capacity();
+      buffer = &q.front();
+    }
+    if (round > 20) {
+      EXPECT_EQ(q.index_capacity(), index_capacity) << "round " << round;
+      EXPECT_EQ(&q.front(), buffer) << "round " << round;
+    }
+    q.clear();
+  }
+  EXPECT_EQ(index_capacity, 512u);
+}
+
 TEST(CoalescingQueueTest, MatchesLinearScanModel) {
-  // Random pushes, pops, removals, takes and clears against a plain vector
-  // searched linearly: contents and order must agree after every step.
+  // 10k random pushes, pops, removals, takes and clears against a plain
+  // vector searched linearly: contents and order must agree after every
+  // step. Half the keys come from a small set (coalescing), half from a
+  // large one, so the index grows, compacts and is released along the way.
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
     Queue q;
     std::vector<Entry> model;
     std::vector<Entry> scratch;
-    for (int step = 0; step < 5000; ++step) {
+    std::size_t peak_index = 0;
+    for (int step = 0; step < 10000; ++step) {
       const double op = rng.next_double();
-      if (op < 0.6) {
-        const auto key = static_cast<std::uint64_t>(rng.next_in(0, 40));
+      if (op < 0.64) {
+        const auto key = static_cast<std::uint64_t>(
+            rng.next_below(2) == 0 ? rng.next_in(0, 40) : rng.next_in(0, 5000));
         const int value = step;
         const auto it = std::find_if(model.begin(), model.end(), [&](const Entry& e) {
           return key != 0 && e.key == key;
@@ -644,19 +822,19 @@ TEST(CoalescingQueueTest, MatchesLinearScanModel) {
           model.push_back({key, value});
         }
         EXPECT_EQ(upsert(q, key, value), found);
-      } else if (op < 0.9) {
+      } else if (op < 0.98) {
         if (!model.empty()) {
           EXPECT_EQ(q.pop_front().value, model.front().value);
           model.erase(model.begin());
         }
-      } else if (op < 0.97) {
+      } else if (op < 0.998) {
         const auto mod = static_cast<std::uint64_t>(rng.next_in(2, 5));
         auto pred = [mod](const Entry& e) { return e.key % mod == 1; };
         const auto removed = static_cast<std::size_t>(
             std::count_if(model.begin(), model.end(), pred));
         model.erase(std::remove_if(model.begin(), model.end(), pred), model.end());
         EXPECT_EQ(q.remove_if(pred), removed);
-      } else if (op < 0.99) {
+      } else if (op < 0.999) {
         q.take_into(scratch);
         ASSERT_EQ(scratch.size(), model.size());
         for (std::size_t i = 0; i < model.size(); ++i) {
@@ -672,7 +850,9 @@ TEST(CoalescingQueueTest, MatchesLinearScanModel) {
         ASSERT_EQ(q[i].key, model[i].key) << "step " << step << " slot " << i;
         ASSERT_EQ(q[i].value, model[i].value) << "step " << step << " slot " << i;
       }
+      peak_index = std::max(peak_index, q.index_capacity());
     }
+    EXPECT_GE(peak_index, 256u);  // the stream did grow the index
   }
 }
 
