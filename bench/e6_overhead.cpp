@@ -32,7 +32,8 @@ using dyconit::DyconitSystem;
 using dyconit::Update;
 
 struct NullSink : dyconit::FlushSink {
-  void deliver(dyconit::SubscriberId, const std::vector<FlushedUpdate>& updates) override {
+  void deliver(dyconit::SubscriberId, std::uint64_t,
+               const std::vector<FlushedUpdate>& updates) override {
     benchmark::DoNotOptimize(updates.data());
   }
 };
@@ -70,6 +71,55 @@ void BM_EnqueueFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(subs));
 }
 BENCHMARK(BM_EnqueueFanout)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
+
+/// BM_EnqueueFanout's worst case for shared queues: every subscriber holds
+/// a different view. Staggered bounds make subscriber k come due alone, at
+/// step k of an untimed set-up stream (its bound is zero for that one
+/// tick), so it goes idle and opens a queue of its own at the next update;
+/// after N steps no two views are equal and each update appends to N
+/// queues. Should cost no more than one private queue per subscriber did.
+void BM_EnqueueFanoutDiverged(benchmark::State& state) {
+  const auto subs = static_cast<std::size_t>(state.range(0));
+  SimClock clock;
+  DyconitSystem sys(clock);
+  NullSink sink;
+  const auto unit = DyconitId::chunk_entities({0, 0});
+  std::vector<dyconit::Subscription> held;
+  for (std::size_t s = 1; s <= subs; ++s) {
+    held.push_back(
+        sys.subscribe(unit, static_cast<dyconit::SubscriberId>(s), Bounds::infinite()));
+  }
+  std::uint32_t entity = 1;
+  auto diverge = [&] {
+    for (const dyconit::Subscription& h : held) {
+      sys.update(unit, make_update(entity++ % 512 + 1, clock.now()));
+      sys.set_bounds(h, Bounds::zero());
+      sys.tick(sink);
+      sys.set_bounds(h, Bounds::infinite());
+    }
+  };
+  diverge();
+  std::size_t since_flush = 0;
+  const std::uint64_t appends0 = sys.stats().queue_appends;
+  std::uint64_t setup_appends = 0;
+  for (auto _ : state) {
+    sys.update(unit, make_update(entity++ % 512 + 1, clock.now()));
+    if (++since_flush >= 4096) {  // keep queues bounded without timing flush
+      state.PauseTiming();
+      sys.flush_all(sink);
+      const std::uint64_t before = sys.stats().queue_appends;
+      diverge();
+      setup_appends += sys.stats().queue_appends - before;
+      since_flush = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(subs));
+  state.counters["queues_per_update"] = benchmark::Counter(
+      static_cast<double>(sys.stats().queue_appends - appends0 - setup_appends) /
+      static_cast<double>(std::max<benchmark::IterationCount>(1, state.iterations())));
+}
+BENCHMARK(BM_EnqueueFanoutDiverged)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
 /// Cost of an enqueue that coalesces into an existing entry (steady state
 /// of a high-rate mover).

@@ -138,11 +138,16 @@ e2e_chaos_run() {
   val="$(sed -n 's/.* resumed=\([0-9]*\).*/\1/p' <<<"$line")"
   if [ "$val" != "$clients" ]; then
     echo "e2e-chaos-udp: only $val of $clients sessions resumed: $line" >&2
+    echo "e2e-chaos-udp: logs kept in $tmp" >&2
+    for idx in $(seq 0 $((clients - 1))); do
+      echo "-- client $idx:" >&2
+      cat "$tmp/client$idx.out" >&2
+    done
     return 1
   fi
   for idx in $(seq 0 $((clients - 1))); do
     if ! grep -q '^chaos_summary role=client.* joined=1 ' "$tmp/client$idx.out"; then
-      echo "e2e-chaos-udp: client $idx never (re)joined" >&2
+      echo "e2e-chaos-udp: client $idx never (re)joined; logs kept in $tmp" >&2
       cat "$tmp/client$idx.out" >&2
       return 1
     fi

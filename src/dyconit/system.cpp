@@ -113,10 +113,11 @@ void DyconitSystem::sift_down(std::size_t i) {
   e.d->schedule_pos_ = i;
 }
 
-void DyconitSystem::subscribe(DyconitId id, SubscriberId sub, Bounds b) {
+Subscription DyconitSystem::subscribe(DyconitId id, SubscriberId sub, Bounds b) {
   Dyconit& d = get_or_create(id);
-  d.subscribe(sub, b);
+  Dyconit::Sub& s = d.subscribe(sub, b);
   reschedule(d);
+  return {&d, &s};
 }
 
 void DyconitSystem::unsubscribe(DyconitId id, SubscriberId sub) {
@@ -139,13 +140,11 @@ bool DyconitSystem::is_subscribed(DyconitId id, SubscriberId sub) const {
   return d != nullptr && d->subscribed(sub);
 }
 
-void DyconitSystem::set_bounds(DyconitId id, SubscriberId sub, Bounds b) {
-  Dyconit* d = find(id);
-  if (d == nullptr) return;
-  const SimTime before = d->next_due();
-  d->set_bounds(sub, b);
+void DyconitSystem::set_bounds(const Subscription& h, Bounds b) {
+  const SimTime before = h.dyconit->next_due();
+  h.dyconit->set_bounds(*h.sub, b);
   // Bounds change no queue's emptiness, and next_due() only moves earlier.
-  if (d->next_due() != before) reschedule(*d);
+  if (h.dyconit->next_due() != before) reschedule(*h.dyconit);
 }
 
 void DyconitSystem::set_snapshot_threshold(std::size_t n) {

@@ -8,6 +8,7 @@
 // enforcement, coalescing — is internal.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -17,6 +18,15 @@
 #include "util/sim_time.h"
 
 namespace dyconits::dyconit {
+
+/// A held subscription (DyconitSystem::subscribe's result): lets its holder
+/// retune the subscriber's bounds with no lookup. Valid until the
+/// subscription ends (unsubscribe, unsubscribe_all); a dyconit with a
+/// subscriber is never garbage-collected.
+struct Subscription {
+  Dyconit* dyconit = nullptr;
+  Dyconit::Sub* sub = nullptr;
+};
 
 class DyconitSystem {
  public:
@@ -28,12 +38,14 @@ class DyconitSystem {
   Dyconit* find(DyconitId id);
   const Dyconit* find(DyconitId id) const;
 
-  void subscribe(DyconitId id, SubscriberId sub, Bounds b);
+  Subscription subscribe(DyconitId id, SubscriberId sub, Bounds b);
   void unsubscribe(DyconitId id, SubscriberId sub);
   /// Drops every subscription of `sub` (player disconnect).
   void unsubscribe_all(SubscriberId sub);
   bool is_subscribed(DyconitId id, SubscriberId sub) const;
-  void set_bounds(DyconitId id, SubscriberId sub, Bounds b);
+  /// Retunes a subscription through its handle (subscribe's result): no
+  /// hash lookups.
+  void set_bounds(const Subscription& h, Bounds b);
 
   /// Queues an update for all subscribers of `id` except `exclude`. If the
   /// dyconit does not exist it is created with zero default bounds (and the
@@ -89,6 +101,13 @@ class DyconitSystem {
   std::size_t dyconit_count() const { return dyconits_.size(); }
   std::size_t total_queued() const;
 
+  /// Asserts the schedule and shared-queue invariants (DESIGN.md §3):
+  /// every due-heap key equals its dyconit's next_due(), exactly the
+  /// dyconits with pending queues are on the heap (so no GC'd one is), and
+  /// every dyconit's Dyconit::check_invariants holds. Compiles to nothing
+  /// under NDEBUG.
+  void check_invariants() const;
+
  private:
   /// Dyconits in canonical (DyconitId::operator<) order; lazily rebuilt
   /// after create/GC. Pointers stay valid across rebuilds (unique_ptr).
@@ -127,5 +146,29 @@ class DyconitSystem {
   /// lost their last subscriber. May hold duplicates and erased ids.
   std::vector<DyconitId> gc_candidates_;
 };
+
+#ifdef NDEBUG
+inline void DyconitSystem::check_invariants() const {}
+#else
+inline void DyconitSystem::check_invariants() const {
+  std::size_t scheduled = 0;
+  for (const auto& [id, d] : dyconits_) {
+    d->check_invariants();
+    if (!d->scheduled()) {
+      assert(d->schedule_pos_ == Dyconit::kNotPending && "idle dyconit is off the heap");
+      continue;
+    }
+    ++scheduled;
+    const std::size_t pos = d->schedule_pos_;
+    assert(pos < schedule_.size() && schedule_[pos].d == d.get() && "heap slot");
+    assert(schedule_[pos].due == d->next_due() && "heap key equals next_due()");
+    assert((pos == 0 || schedule_[(pos - 1) / 2].due <= schedule_[pos].due) && "heap order");
+  }
+  // Each scheduled live dyconit owns a distinct slot; equal counts leave no
+  // slot for a dyconit the collector erased.
+  assert(scheduled == schedule_.size() && "no GC'd dyconit is scheduled");
+  (void)scheduled;
+}
+#endif
 
 }  // namespace dyconits::dyconit

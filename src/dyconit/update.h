@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dyconit/id.h"
 #include "protocol/messages.h"
@@ -62,8 +63,12 @@ class FlushSink {
   };
 
   /// One flush: every update a subscriber is owed for one dyconit, in
-  /// enqueue order.
-  virtual void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) = 0;
+  /// enqueue order. Subscribers that take the same contents (they shared
+  /// one queue) get the same `batch` id, so the sink may pack and encode
+  /// the batch once; a different id may still carry equal contents. Ids
+  /// are never 0 and never reused by one DyconitSystem.
+  virtual void deliver(SubscriberId to, std::uint64_t batch,
+                       const std::vector<FlushedUpdate>& updates) = 0;
 
   /// Snapshot catch-up: the subscriber's queue for `unit` grew past the
   /// configured threshold and was dropped; the game should resend fresh

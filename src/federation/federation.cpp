@@ -54,7 +54,7 @@ void Federation::Direction::on_src_update(const AnyMessage& msg, double weight,
   static_cast<void>(kind);  // mirrors default to the kind sent in spawn census
 }
 
-void Federation::Direction::deliver(dyconit::SubscriberId,
+void Federation::Direction::deliver(dyconit::SubscriberId, std::uint64_t,
                                     const std::vector<FlushedUpdate>& updates) {
   // Pack like the game server does: moves into one batch frame.
   std::vector<protocol::EntityMove> moves;

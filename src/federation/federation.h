@@ -78,7 +78,7 @@ class Federation {
               server::GameServer& dst, const FederationConfig& cfg, bool src_is_left);
 
     // FlushSink: pack flushed updates into frames on the peer link.
-    void deliver(dyconit::SubscriberId to,
+    void deliver(dyconit::SubscriberId to, std::uint64_t batch,
                  const std::vector<FlushedUpdate>& updates) override;
 
     /// Tap installed into src: enqueue band updates toward the peer.

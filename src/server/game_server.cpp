@@ -154,8 +154,8 @@ void GameServer::tick() {
       // still resyncing: re-pin them at zero until its snapshot drains.
       for (auto& [id, s] : sessions_) {
         if (!s.resync_tighten) continue;
-        for (const auto& [unit, refs] : s.unit_refs) {
-          dyconits_.set_bounds(unit, id, dyconit::Bounds::zero());
+        for (const auto& [unit, ref] : s.unit_refs) {
+          dyconits_.set_bounds(ref.sub, dyconit::Bounds::zero());
         }
       }
       // A retune that tightened bounds (including the re-pin above) takes
@@ -336,8 +336,8 @@ void GameServer::begin_resync(Session& s) {
     // Treat the subscriber as maximally stale until re-synced: zero bounds
     // deliver every new update immediately while the snapshot drains;
     // stream_chunks hands control back to the policy once the queue empties.
-    for (const auto& [unit, refs] : s.unit_refs) {
-      dyconits_.set_bounds(unit, s.id, dyconit::Bounds::zero());
+    for (const auto& [unit, ref] : s.unit_refs) {
+      dyconits_.set_bounds(ref.sub, dyconit::Bounds::zero());
     }
     s.resync_tighten = true;
   } else {
@@ -553,11 +553,14 @@ void GameServer::add_interest_chunk(Session& s, ChunkPos c) {
     const world::Vec3 pos = self != nullptr ? self->pos : world::Vec3{};
     for (const DyconitId unit :
          {policy_->block_unit_for(c), policy_->entity_unit_for(c)}) {
-      if (++s.unit_refs[unit] == 1) {
-        dyconits_.subscribe(unit, s.id, policy_->bounds_for(unit, pos));
-      }
+      ref_unit(s, unit, pos);
     }
   }
+}
+
+void GameServer::ref_unit(Session& s, const DyconitId& unit, const world::Vec3& pos) {
+  Session::UnitRef& ref = s.unit_refs[unit];
+  if (++ref.refs == 1) ref.sub = dyconits_.subscribe(unit, s.id, policy_->bounds_for(unit, pos));
 }
 
 void GameServer::remove_interest_chunk(Session& s, ChunkPos c) {
@@ -584,7 +587,7 @@ void GameServer::remove_interest_chunk(Session& s, ChunkPos c) {
     for (const DyconitId unit :
          {policy_->block_unit_for(c), policy_->entity_unit_for(c)}) {
       const auto it = s.unit_refs.find(unit);
-      if (it != s.unit_refs.end() && --it->second == 0) {
+      if (it != s.unit_refs.end() && --it->second.refs == 0) {
         s.unit_refs.erase(it);
         dyconits_.unsubscribe(unit, s.id);
       }
@@ -595,8 +598,8 @@ void GameServer::remove_interest_chunk(Session& s, ChunkPos c) {
 void GameServer::retune_session_bounds(Session& s) {
   const Entity* e = registry_.find(s.entity);
   if (e == nullptr) return;
-  for (const auto& [unit, refs] : s.unit_refs) {
-    dyconits_.set_bounds(unit, s.id, policy_->bounds_for(unit, e->pos));
+  for (const auto& [unit, ref] : s.unit_refs) {
+    dyconits_.set_bounds(ref.sub, policy_->bounds_for(unit, e->pos));
   }
 }
 
@@ -728,16 +731,14 @@ void GameServer::rebuild_subscriptions() {
   // subscriptions, and rebuild from the new unit mapping.
   for (auto& [id, s] : sessions_) {
     dyconits_.flush_subscriber(s.id, *this);
-    for (const auto& [unit, refs] : s.unit_refs) dyconits_.unsubscribe(unit, s.id);
+    for (const auto& [unit, ref] : s.unit_refs) dyconits_.unsubscribe(unit, s.id);
     s.unit_refs.clear();
     const Entity* e = registry_.find(s.entity);
     const world::Vec3 pos = e != nullptr ? e->pos : world::Vec3{};
     for (const ChunkPos c : s.interest) {
       for (const DyconitId unit :
            {policy_->block_unit_for(c), policy_->entity_unit_for(c)}) {
-        if (++s.unit_refs[unit] == 1) {
-          dyconits_.subscribe(unit, s.id, policy_->bounds_for(unit, pos));
-        }
+        ref_unit(s, unit, pos);
       }
     }
   }
@@ -748,14 +749,36 @@ void GameServer::rebuild_subscriptions() {
 void GameServer::flush_dyconits() {
   TRACE_SCOPE("server.dyconit_flush");
   dyconits_.tick(*this);
+  packed_frames_.clear();
+  packed_batches_.clear();
 }
 
-void GameServer::deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) {
+void GameServer::deliver(SubscriberId to, std::uint64_t batch,
+                         const std::vector<FlushedUpdate>& updates) {
   Session* s = session_of(to);
   if (s == nullptr) return;
-  pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
-    send_or_queue(*s, m, origin);
-  });
+  // Sessions that take one batch get the same messages (DESIGN.md §11):
+  // pack it on first sight and encode each frame once, on its first direct
+  // send. packed_batches_ is sorted by id. Ids are assigned in increasing
+  // order, so a batch first taken this round goes at the back; one kept
+  // from an earlier round (a member that stayed) is found or inserted in
+  // place.
+  auto it = packed_batches_.end();
+  if (!packed_batches_.empty() && batch <= packed_batches_.back().id) {
+    it = std::lower_bound(packed_batches_.begin(), packed_batches_.end(), batch,
+                          [](const PackedBatch& b, std::uint64_t id) { return b.id < id; });
+  }
+  if (it == packed_batches_.end() || it->id != batch) {
+    const std::size_t begin = packed_frames_.size();
+    pack_update_batch(updates, [&](const protocol::AnyMessage& m, SimTime origin) {
+      packed_frames_.push_back({m, origin, {}});
+    });
+    it = packed_batches_.insert(it, {batch, begin, packed_frames_.size()});
+  }
+  for (std::size_t i = it->begin; i < it->end; ++i) {
+    PackedFrame& f = packed_frames_[i];
+    send_or_queue(*s, f.msg, f.origin, &f.shared);
+  }
 }
 
 // ------------------------------------------------------------------- items
@@ -1038,14 +1061,14 @@ void GameServer::apply_overload_bounds() {
     if (!s.backlogged || s.resync_tighten) continue;
     const Entity* e = registry_.find(s.entity);
     if (e == nullptr) continue;
-    for (const auto& [unit, refs] : s.unit_refs) {
+    for (const auto& [unit, ref] : s.unit_refs) {
       Bounds b = policy_->bounds_for(unit, e->pos);
       // Re-derived from the policy every tick (not compounded in place);
       // clamp keeps an already-huge staleness bound from overflowing.
       b.staleness = SimDuration::micros(static_cast<std::int64_t>(std::min(
           static_cast<double>(b.staleness.count_micros()) * f, 9.0e15)));
       b.numerical *= f;
-      dyconits_.set_bounds(unit, id, b);
+      dyconits_.set_bounds(ref.sub, b);
     }
   }
 }

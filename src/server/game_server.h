@@ -57,7 +57,8 @@ class GameServer final : public dyconit::FlushSink {
   void disconnect(SubscriberId sub);
 
   // -- FlushSink --
-  void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override;
+  void deliver(SubscriberId to, std::uint64_t batch,
+               const std::vector<FlushedUpdate>& updates) override;
   void request_snapshot(SubscriberId to, const dyconit::DyconitId& unit) override;
 
   // -- introspection --
@@ -161,7 +162,13 @@ class GameServer final : public dyconit::FlushSink {
     std::string name;
     world::ChunkPos interest_center;
     std::unordered_set<world::ChunkPos> interest;        // chunks in view
-    std::unordered_map<dyconit::DyconitId, int> unit_refs;  // unit -> #interest chunks
+    /// unit -> #interest chunks referencing it, and the held subscription
+    /// retunes go through (no lookups).
+    struct UnitRef {
+      int refs = 0;
+      dyconit::Subscription sub;
+    };
+    std::unordered_map<dyconit::DyconitId, UnitRef> unit_refs;
     std::deque<world::ChunkPos> chunk_queue;             // pending ChunkData sends
     std::unordered_set<world::ChunkPos> chunk_queued;    // membership for chunk_queue
     std::unordered_set<entity::EntityId> known_entities;
@@ -268,6 +275,8 @@ class GameServer final : public dyconit::FlushSink {
   // -- sending --
   /// Flushes due dyconit queues; deliver() packs each batch onto the wire.
   void flush_dyconits();
+  /// Subscribes `s` to `unit` on its first reference.
+  void ref_unit(Session& s, const dyconit::DyconitId& unit, const world::Vec3& pos);
   /// Encodes `m` and puts it on the wire. With `shared` (a broadcast
   /// fan-out, DESIGN.md §11) the first recipient encodes `m` once into it
   /// and later recipients only stamp their session seq onto a copy of the
@@ -301,6 +310,22 @@ class GameServer final : public dyconit::FlushSink {
 
   net::EndpointId endpoint_;
   dyconit::DyconitSystem dyconits_;
+  /// Dyconit batches packed since the last flush round ended (deliver):
+  /// each distinct batch id is packed once, and its frames are encoded
+  /// once (SharedFrame) for every session that takes it. packed_batches_
+  /// is sorted by id.
+  struct PackedFrame {
+    protocol::AnyMessage msg;
+    SimTime origin;
+    net::SharedFrame shared;
+  };
+  struct PackedBatch {
+    std::uint64_t id;
+    std::size_t begin;  ///< its frames: packed_frames_[begin, end)
+    std::size_t end;
+  };
+  std::vector<PackedFrame> packed_frames_;
+  std::vector<PackedBatch> packed_batches_;
   entity::EntityRegistry registry_;
 
   std::unordered_map<SubscriberId, Session> sessions_;

@@ -2,6 +2,8 @@
 // flush reasons, system lifecycle.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "dyconit/policy.h"
 #include "dyconit/system.h"
 
@@ -29,12 +31,15 @@ class RecordingSink : public FlushSink {
     double weight;
   };
 
-  void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override {
+  void deliver(SubscriberId to, std::uint64_t batch,
+               const std::vector<FlushedUpdate>& updates) override {
     ++flush_calls;
+    batches.push_back(batch);
     for (const auto& u : updates) records.push_back({to, *u.msg, u.created, u.weight});
   }
 
   std::vector<Record> records;
+  std::vector<std::uint64_t> batches;  ///< batch id of each deliver call
   int flush_calls = 0;
 };
 
@@ -343,6 +348,160 @@ TEST_F(DyconitTest, StalenessRecordingAtFlush) {
   EXPECT_DOUBLE_EQ(stats_.staleness_ms[0], 150.0);
 }
 
+// ------------------------------------------------------ shared queues
+
+Update block_update(std::int32_t x, SimTime t) {
+  Update u;
+  u.msg = EntityMove{0, {static_cast<double>(x), 0, 0}, 0, 0};
+  u.created = t;
+  u.coalesce_key = coalesce_key_block({x, 64, 0});
+  return u;
+}
+
+/// Records per subscriber: the x positions it was delivered, in order.
+std::map<SubscriberId, std::vector<double>> xs_by_subscriber(const RecordingSink& sink) {
+  std::map<SubscriberId, std::vector<double>> out;
+  for (const auto& r : sink.records) out[r.to].push_back(std::get<EntityMove>(r.msg).pos.x);
+  return out;
+}
+
+TEST_F(DyconitTest, IdleSubscribersShareOneQueue) {
+  for (SubscriberId s = 1; s <= 4; ++s) d_.subscribe(s, Bounds::infinite());
+  d_.enqueue(move_update(7, 1, 1, SimTime(0)), kNoSubscriber, stats_);
+  d_.enqueue(move_update(8, 2, 1, SimTime(0)), kNoSubscriber, stats_);
+  d_.enqueue(move_update(7, 3, 1, SimTime(0)), kNoSubscriber, stats_);
+  // Counted per subscriber, appended once per shared queue.
+  EXPECT_EQ(stats_.enqueued, 12u);
+  EXPECT_EQ(stats_.coalesced, 4u);
+  EXPECT_EQ(stats_.queue_appends, 3u);
+  EXPECT_EQ(stats_.queue_splits, 0u);
+  EXPECT_EQ(d_.total_queued(), 8u);
+  d_.check_invariants();
+  d_.flush_all(SimTime(1), sink_, stats_);
+  ASSERT_EQ(sink_.flush_calls, 4);
+  // All four took the same contents: one batch id.
+  for (const std::uint64_t b : sink_.batches) EXPECT_EQ(b, sink_.batches.front());
+  EXPECT_EQ(stats_.batches, 1u);
+  for (const auto& [sub, xs] : xs_by_subscriber(sink_)) {
+    EXPECT_EQ(xs, (std::vector<double>{3, 2})) << "subscriber " << sub;
+  }
+}
+
+TEST_F(DyconitTest, ExcludedOriginatorSplitsOff) {
+  for (SubscriberId s = 1; s <= 3; ++s) d_.subscribe(s, Bounds::infinite());
+  d_.enqueue(move_update(7, 1, 1, SimTime(0)), kNoSubscriber, stats_);
+  d_.enqueue(move_update(8, 2, 1, SimTime(0)), /*exclude=*/2, stats_);
+  EXPECT_EQ(stats_.queue_splits, 1u);
+  EXPECT_EQ(stats_.enqueued, 5u);
+  // Excluded again: its copy is private now, so no second split.
+  d_.enqueue(move_update(9, 3, 1, SimTime(0)), /*exclude=*/2, stats_);
+  EXPECT_EQ(stats_.queue_splits, 1u);
+  d_.check_invariants();
+  d_.flush_all(SimTime(1), sink_, stats_);
+  const auto xs = xs_by_subscriber(sink_);
+  EXPECT_EQ(xs.at(1), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(xs.at(2), (std::vector<double>{1}));
+  EXPECT_EQ(xs.at(3), (std::vector<double>{1, 2, 3}));
+  ASSERT_EQ(sink_.batches.size(), 3u);
+  EXPECT_EQ(sink_.batches[0], sink_.batches[2]);
+  EXPECT_NE(sink_.batches[0], sink_.batches[1]);
+}
+
+TEST_F(DyconitTest, ShedDirectiveSplitsOnlyTheShedMember) {
+  for (SubscriberId s = 1; s <= 3; ++s) d_.subscribe(s, Bounds::infinite());
+  d_.enqueue(move_update(7, 1, 0.5, SimTime(0)), kNoSubscriber, stats_);
+  d_.enqueue(block_update(2, SimTime(0)), kNoSubscriber, stats_);
+  ShedDirectiveMap shed;
+  shed[2].shed_entity_moves = true;
+  d_.flush_due(SimTime(1), sink_, stats_, &shed);
+  EXPECT_EQ(stats_.queue_splits, 1u);
+  EXPECT_EQ(stats_.shed_updates, 1u);
+  EXPECT_DOUBLE_EQ(stats_.shed_weight, 0.5);
+  EXPECT_TRUE(sink_.records.empty());  // infinite bounds: nothing due
+  EXPECT_EQ(d_.total_queued(), 5u);    // 2 + 1 + 2
+  // A second round finds no move left in its view: no further split.
+  d_.flush_due(SimTime(2), sink_, stats_, &shed);
+  EXPECT_EQ(stats_.queue_splits, 1u);
+  d_.check_invariants();
+  d_.flush_all(SimTime(3), sink_, stats_);
+  const auto xs = xs_by_subscriber(sink_);
+  EXPECT_EQ(xs.at(1), (std::vector<double>{1, 2}));
+  EXPECT_EQ(xs.at(2), (std::vector<double>{2}));
+  EXPECT_EQ(xs.at(3), (std::vector<double>{1, 2}));
+}
+
+TEST_F(DyconitTest, DueMemberTakesAViewAndTheRestKeepTheQueue) {
+  d_.subscribe(1, Bounds::zero());
+  d_.subscribe(2, Bounds{SimDuration::millis(100), 1e9});
+  d_.subscribe(3, Bounds{SimDuration::millis(100), 1e9});
+  d_.enqueue(move_update(7, 1, 1, SimTime(0)), kNoSubscriber, stats_);
+  d_.flush_due(SimTime(0), sink_, stats_);
+  ASSERT_EQ(sink_.records.size(), 1u);
+  EXPECT_EQ(sink_.records[0].to, 1u);
+  EXPECT_EQ(d_.total_queued(), 2u);
+  EXPECT_EQ(d_.next_due(), SimTime(0) + SimDuration::millis(100));
+  // The queue of 2 and 3 takes the next update once; idle 1 opens another.
+  d_.enqueue(move_update(8, 2, 1, SimTime(10)), kNoSubscriber, stats_);
+  EXPECT_EQ(stats_.queue_appends, 3u);
+  EXPECT_EQ(stats_.queue_splits, 0u);
+  d_.check_invariants();
+  d_.flush_due(SimTime(0) + SimDuration::millis(100), sink_, stats_);
+  const auto xs = xs_by_subscriber(sink_);
+  EXPECT_EQ(xs.at(1), (std::vector<double>{1, 2}));
+  EXPECT_EQ(xs.at(2), (std::vector<double>{1, 2}));
+  EXPECT_EQ(xs.at(3), (std::vector<double>{1, 2}));
+  ASSERT_EQ(sink_.batches.size(), 4u);
+  EXPECT_NE(sink_.batches[0], sink_.batches[2]);
+  EXPECT_EQ(sink_.batches[2], sink_.batches[3]);
+  EXPECT_EQ(d_.total_queued(), 0u);
+}
+
+TEST_F(DyconitTest, SnapshotDropsOnlyThatMembersView) {
+  for (SubscriberId s = 1; s <= 3; ++s) d_.subscribe(s, Bounds::infinite());
+  for (std::uint32_t i = 1; i <= 5; ++i) {
+    d_.enqueue(move_update(i, i, 1, SimTime(0)), kNoSubscriber, stats_);
+  }
+  struct SnapshotSink : RecordingSink {
+    void request_snapshot(SubscriberId to, const DyconitId&) override { requests.push_back(to); }
+    std::vector<SubscriberId> requests;
+  } sink;
+  ShedDirectiveMap shed;
+  shed[3].snapshot_threshold_override = 2;
+  d_.flush_due(SimTime(1), sink, stats_, &shed);
+  EXPECT_EQ(sink.requests, (std::vector<SubscriberId>{3}));
+  EXPECT_EQ(stats_.dropped_snapshot, 5u);
+  EXPECT_EQ(stats_.queue_splits, 0u);  // leaving needs no copy
+  EXPECT_EQ(d_.total_queued(), 10u);
+  d_.check_invariants();
+}
+
+TEST_F(DyconitTest, UnsubscribeLeavesTheSharedQueue) {
+  Dyconit::Sub& first = d_.subscribe(1, Bounds::infinite());
+  for (SubscriberId s = 2; s <= 3; ++s) d_.subscribe(s, Bounds::infinite());
+  d_.enqueue(move_update(7, 1, 1, SimTime(0)), kNoSubscriber, stats_);
+  d_.set_bounds(first, Bounds::zero());
+  EXPECT_EQ(d_.next_due(), Dyconit::kDueNow);
+  d_.unsubscribe(1, stats_);
+  EXPECT_EQ(stats_.dropped_unsubscribe, 1u);
+  EXPECT_EQ(d_.total_queued(), 2u);
+  d_.check_invariants();
+  d_.flush_due(SimTime(1), sink_, stats_);
+  EXPECT_TRUE(sink_.records.empty());  // the rest still have infinite bounds
+  d_.flush_all(SimTime(1), sink_, stats_);
+  EXPECT_EQ(sink_.records.size(), 2u);
+}
+
+TEST_F(DyconitTest, LooseningTheTightestMemberMovesTheQueueDueLater) {
+  Dyconit::Sub& first = d_.subscribe(1, Bounds{SimDuration::millis(50), 1e9});
+  d_.subscribe(2, Bounds{SimDuration::millis(200), 1e9});
+  d_.enqueue(move_update(7, 1, 1, SimTime(0)), kNoSubscriber, stats_);
+  EXPECT_EQ(d_.next_due(), SimTime(0) + SimDuration::millis(50));
+  d_.set_bounds(first, Bounds{SimDuration::millis(300), 1e9});
+  d_.flush_due(SimTime(0) + SimDuration::millis(60), sink_, stats_);
+  EXPECT_EQ(d_.next_due(), SimTime(0) + SimDuration::millis(200));
+  d_.check_invariants();
+}
+
 // ----------------------------------------------------------- DyconitSystem
 
 class SystemTest : public ::testing::Test {
@@ -421,29 +580,32 @@ TEST_F(SystemTest, FlushSubscriberAcrossDyconits) {
 
 TEST_F(SystemTest, SetBoundsAffectsFlushDecision) {
   const auto id = DyconitId::chunk_entities({0, 0});
-  sys_.subscribe(id, 1, Bounds::infinite());
+  const Subscription h = sys_.subscribe(id, 1, Bounds::infinite());
   sys_.update(id, move_update(7, 1, 1, clock_.now()));
   clock_.advance(SimDuration::seconds(10));
   sys_.tick(sink_);
   EXPECT_TRUE(sink_.records.empty());
-  sys_.set_bounds(id, 1, Bounds::zero());
+  sys_.set_bounds(h, Bounds::zero());
   sys_.tick(sink_);
   EXPECT_EQ(sink_.records.size(), 1u);
 }
 
 TEST_F(SystemTest, TickVisitsOnlyDueQueues) {
   // 400 dyconits x 50 subscribers with a 100 ms staleness bound: one update
-  // fans out to 50 queues, all due at t=100 ms. A round examines a queue
+  // reaches 50 subscribers, all due at t=100 ms. A round examines a queue
   // only once its due time has come, not every pending queue and never all
-  // 20,000 subscriptions.
+  // 20,000 subscriptions; subscribers that share a queue cost one visit.
   const Bounds hundred_ms{SimDuration::millis(100), 1e9};
+  const auto hot = DyconitId::chunk_entities({123, 0});
+  std::map<SubscriberId, Subscription> hot_subs;
   for (int d = 0; d < 400; ++d) {
     for (SubscriberId s = 1; s <= 50; ++s) {
-      sys_.subscribe(DyconitId::chunk_entities({d, 0}), s, hundred_ms);
+      const auto id = DyconitId::chunk_entities({d, 0});
+      const Subscription h = sys_.subscribe(id, s, hundred_ms);
+      if (id == hot) hot_subs[s] = h;
     }
   }
   sys_.tick(sink_);  // settles GC of the freshly created dyconits
-  const auto hot = DyconitId::chunk_entities({123, 0});
   const std::uint64_t visited0 = sys_.stats().queues_visited;
   sys_.update(hot, move_update(7, 1, 1, clock_.now()));
   EXPECT_EQ(sys_.total_queued(), 50u);
@@ -457,33 +619,33 @@ TEST_F(SystemTest, TickVisitsOnlyDueQueues) {
   EXPECT_TRUE(sink_.records.empty());
 
   // 1: tightening subscriber 7 makes exactly its queue due now.
-  sys_.set_bounds(hot, 7, Bounds::zero());
+  sys_.set_bounds(hot_subs.at(7), Bounds::zero());
   sys_.tick(sink_);
   EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
   ASSERT_EQ(sink_.records.size(), 1u);
   EXPECT_EQ(sink_.records[0].to, 7u);
 
-  // 49: at t=100 ms the other queues come due together, and each visit
-  // flushes.
+  // 1: at t=100 ms the other 49 subscribers come due together; they share
+  // one queue, examined once, and each of them flushes.
   clock_.advance(SimDuration::millis(50));
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 2u);
   EXPECT_EQ(sink_.records.size(), 50u);
   EXPECT_EQ(sys_.total_queued(), 0u);
 
   // With infinite bounds a pending queue is never due: 50 more pending
-  // queues cost no visit, and a forced flush empties them without one.
-  for (SubscriberId s = 1; s <= 50; ++s) sys_.set_bounds(hot, s, Bounds::infinite());
+  // subscribers cost no visit, and a forced flush empties them without one.
+  for (const auto& [s, h] : hot_subs) sys_.set_bounds(h, Bounds::infinite());
   sys_.update(hot, move_update(8, 1, 1, clock_.now()));
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 2u);
   sys_.flush_all(sink_);
   EXPECT_EQ(sink_.records.size(), 100u);
 
   // With nothing pending and no unsubscribe, a tick does no work at all.
   const std::uint64_t gc1 = sys_.stats().gc_checked;
   sys_.tick(sink_);
-  EXPECT_EQ(sys_.stats().queues_visited - visited0, 50u);
+  EXPECT_EQ(sys_.stats().queues_visited - visited0, 2u);
   EXPECT_EQ(sys_.stats().gc_checked, gc1);
   EXPECT_EQ(sys_.dyconit_count(), 400u);
 }
@@ -507,13 +669,17 @@ TEST_F(SystemTest, SecondTickWithoutBoundChangeVisitsNothing) {
 TEST_F(SystemTest, SetBoundsTighteningMakesThatQueueDueThisTick) {
   const auto a = DyconitId::chunk_entities({0, 0});
   const auto b = DyconitId::chunk_entities({1, 0});
+  Subscription b2;
   for (const auto& id : {a, b}) {
-    for (SubscriberId s = 1; s <= 3; ++s) sys_.subscribe(id, s, Bounds::infinite());
+    for (SubscriberId s = 1; s <= 3; ++s) {
+      const Subscription h = sys_.subscribe(id, s, Bounds::infinite());
+      if (id == b && s == 2) b2 = h;
+    }
     sys_.update(id, move_update(7, 1, 1, clock_.now()));
   }
   sys_.tick(sink_);
   const std::uint64_t visited0 = sys_.stats().queues_visited;
-  sys_.set_bounds(b, 2, Bounds::zero());
+  sys_.set_bounds(b2, Bounds::zero());
   sys_.tick(sink_);  // same sim time
   EXPECT_EQ(sys_.stats().queues_visited - visited0, 1u);
   ASSERT_EQ(sink_.records.size(), 1u);

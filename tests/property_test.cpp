@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "dyconit/system.h"
@@ -27,7 +29,8 @@ struct CollectingSink : FlushSink {
   };
   explicit CollectingSink(const SimClock& clock) : clock(clock) {}
 
-  void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override {
+  void deliver(SubscriberId to, std::uint64_t,
+               const std::vector<FlushedUpdate>& updates) override {
     for (const auto& u : updates) {
       recs.push_back(
           {to, std::get<EntityMove>(*u.msg), u.created, clock.now(), u.weight});
@@ -303,11 +306,18 @@ TEST(CoalescingProperty, SavingsGrowWithUpdateRate) {
 
 // ------------------------------------------ full-scan equivalence oracle
 
-/// Reference model of the middleware that examines every (dyconit,
-/// subscriber) queue on every tick and GC-checks every dyconit, in
-/// canonical order (std::map). DyconitSystem visits only queues whose
-/// cached due time has come and GC candidates; both must make the same
-/// sink calls and reach the same Stats.
+/// Reference model of the middleware that keeps a private queue per
+/// (dyconit, subscriber), examines every one of them on every tick and
+/// GC-checks every dyconit, in canonical order (std::map). DyconitSystem
+/// shares queues among subscribers, visits only queues whose cached due
+/// time has come and GC candidates; both must make the same sink calls and
+/// reach the same Stats.
+///
+/// The model also tags each queue with the shared queue DyconitSystem
+/// should hold it in (`share`): subscribers that become non-empty on one
+/// update share a tag, and a queue that changes alone takes a fresh one.
+/// The tags count the sharing events the oracle must reach (Coverage) and
+/// predict the system's queue_appends and queue_splits.
 class FullScanModel {
  public:
   struct Rec {
@@ -319,6 +329,13 @@ class FullScanModel {
     SimTime created;
     std::uint64_t weight_bits = 0;
     bool operator==(const Rec&) const = default;
+  };
+
+  struct Coverage {
+    std::size_t shared3 = 0;           ///< a queue opened with >= 3 members
+    std::size_t exclusion_splits = 0;  ///< an originator left a shared queue
+    std::size_t shed_splits = 0;       ///< a shed member left a shared queue
+    std::size_t partial_flushes = 0;   ///< a tick took a queue from some members only
   };
 
   explicit FullScanModel(const SimClock& clock) : clock_(clock) {}
@@ -363,9 +380,23 @@ class FullScanModel {
 
   void update(DyconitId id, const Update& u, SubscriberId exclude) {
     auto& subs = units_[id];
+    const auto ex = subs.find(exclude);
+    if (ex != subs.end() && ex->second.share != 0 && holders(subs, ex->second.share) > 1) {
+      ex->second.share = ++last_share_;
+      ++coverage.exclusion_splits;
+      ++splits;
+    }
+    std::set<std::uint64_t> appended;
+    std::size_t opened = 0;
+    const std::uint64_t fresh = last_share_ + 1;
     std::size_t targets = 0;
     for (auto& [sub, q] : subs) {
       if (sub == exclude) continue;
+      if (q.share == 0) {
+        q.share = fresh;
+        ++opened;
+      }
+      appended.insert(q.share);
       ++targets;
       ++stats.enqueued;
       q.total += u.weight;
@@ -381,6 +412,9 @@ class FullScanModel {
       }
     }
     if (targets == 0) ++stats.dropped_no_subscriber;
+    if (opened > 0) last_share_ = fresh;
+    if (opened >= 3) ++coverage.shared3;
+    appends += appended.size();
   }
 
   /// Returns how many queues the tick acted on: flushed, snapshotted or
@@ -388,7 +422,15 @@ class FullScanModel {
   std::size_t tick() {
     std::size_t acted = 0;
     for (auto& [id, subs] : units_) {
-      for (auto& [sub, q] : subs) acted += tick_queue(id, sub, q) ? 1 : 0;
+      std::set<std::uint64_t> taken;  // shares some member flushed or dropped
+      for (auto& [sub, q] : subs) {
+        const std::uint64_t share = q.share;
+        acted += tick_queue(id, subs, sub, q) ? 1 : 0;
+        if (share != 0 && q.share == 0) taken.insert(share);
+      }
+      for (const auto& [sub, q] : subs) {
+        if (q.share != 0 && taken.count(q.share) > 0) ++coverage.partial_flushes;
+      }
     }
     std::erase_if(units_, [](const auto& kv) { return kv.second.empty(); });
     return acted;
@@ -431,22 +473,35 @@ class FullScanModel {
     return n;
   }
 
+  bool has_shed() const { return !shed_.empty(); }
+
   Stats stats;
   std::size_t snapshot_threshold = 0;
   std::vector<Rec> recs;
+  Coverage coverage;
+  std::uint64_t appends = 0;  ///< expected Stats::queue_appends
+  std::uint64_t splits = 0;   ///< expected Stats::queue_splits
 
  private:
   struct Queue {
     Bounds bounds;
     std::vector<Update> entries;
     double total = 0.0;
+    std::uint64_t share = 0;  ///< 0 while empty
     void clear() {
       entries.clear();
       total = 0.0;
+      share = 0;
     }
   };
 
-  bool tick_queue(const DyconitId& id, SubscriberId sub, Queue& q) {
+  static std::size_t holders(const std::map<SubscriberId, Queue>& subs, std::uint64_t share) {
+    return static_cast<std::size_t>(std::count_if(
+        subs.begin(), subs.end(), [&](const auto& kv) { return kv.second.share == share; }));
+  }
+
+  bool tick_queue(const DyconitId& id, const std::map<SubscriberId, Queue>& subs,
+                  SubscriberId sub, Queue& q) {
     const SimTime now = clock_.now();
     const auto d = shed_.find(sub);
     const ShedDirective dir = d == shed_.end() ? ShedDirective{} : d->second;
@@ -465,6 +520,11 @@ class FullScanModel {
       }
       if (shed > 0) {
         shed_some = true;
+        if (holders(subs, q.share) > 1) {
+          q.share = ++last_share_;
+          ++coverage.shed_splits;
+          ++splits;
+        }
         q.entries = kept;
         q.total -= shed_weight;
         stats.shed_updates += shed;
@@ -483,7 +543,10 @@ class FullScanModel {
       q.clear();
       return true;
     }
-    if (q.entries.empty()) return shed_some;
+    if (q.entries.empty()) {
+      q.share = 0;
+      return shed_some;
+    }
     const SimDuration age = now - q.entries.front().created;
     if (age >= q.bounds.staleness) {
       deliver(sub, q, FlushReason::Staleness);
@@ -514,20 +577,32 @@ class FullScanModel {
   const SimClock& clock_;
   std::map<DyconitId, std::map<SubscriberId, Queue>> units_;
   ShedDirectiveMap shed_;
+  std::uint64_t last_share_ = 0;
 };
 
 struct OracleRecordingSink : FlushSink {
-  void deliver(SubscriberId to, const std::vector<FlushedUpdate>& updates) override {
+  void deliver(SubscriberId to, std::uint64_t batch,
+               const std::vector<FlushedUpdate>& updates) override {
+    std::vector<FullScanModel::Rec> batch_recs;
     for (const auto& u : updates) {
       const auto& mv = std::get<EntityMove>(*u.msg);
+      batch_recs.push_back({false, 0, {}, mv.id, mv.pos.x, u.created,
+                            std::bit_cast<std::uint64_t>(u.weight)});
       recs.push_back({false, to, {}, mv.id, mv.pos.x, u.created,
                       std::bit_cast<std::uint64_t>(u.weight)});
+    }
+    // One batch id always names the same contents.
+    EXPECT_NE(batch, 0u);
+    const auto [it, fresh] = batches.try_emplace(batch, batch_recs);
+    if (!fresh) {
+      EXPECT_EQ(it->second, batch_recs) << "batch " << batch;
     }
   }
   void request_snapshot(SubscriberId to, const DyconitId& unit) override {
     recs.push_back({true, to, unit, 0, 0, SimTime::zero(), 0});
   }
   std::vector<FullScanModel::Rec> recs;
+  std::map<std::uint64_t, std::vector<FullScanModel::Rec>> batches;
 };
 
 void expect_same_stats(const Stats& want, const Stats& got) {
@@ -550,8 +625,9 @@ void expect_same_stats(const Stats& want, const Stats& got) {
 }
 
 /// Drives DyconitSystem and FullScanModel with one seeded operation stream
-/// and checks after every step that they agree.
-void run_oracle(std::uint64_t seed, int steps) {
+/// and checks after every step that they agree; adds the sharing events
+/// reached to `coverage`.
+void run_oracle(std::uint64_t seed, int steps, FullScanModel::Coverage& coverage) {
   SimClock clock;
   Rng rng(seed);
   DyconitSystem sys(clock);
@@ -575,6 +651,10 @@ void run_oracle(std::uint64_t seed, int steps) {
   sys.set_snapshot_threshold(threshold);
   model.snapshot_threshold = threshold;
 
+  // Live subscriptions, held as the server holds them: a retune goes
+  // through the handle subscribe returned.
+  std::map<std::pair<DyconitId, SubscriberId>, Subscription> held;
+
   auto pick_unit = [&] { return units[rng.next_below(std::size(units))]; };
   auto pick_sub = [&] { return static_cast<SubscriberId>(rng.next_below(kSubs) + 1); };
   auto pick_bounds = [&] { return bounds[rng.next_below(std::size(bounds))]; };
@@ -586,10 +666,16 @@ void run_oracle(std::uint64_t seed, int steps) {
     const std::size_t acted = model.tick();
     sys.tick(sink);
     const std::uint64_t visited = sys.stats().queues_visited - visited0;
-    // Every queue the round acts on is examined (its due time had come),
-    // and nothing beyond the non-empty queues is.
-    EXPECT_GE(visited, acted);
+    // A round examines shared queues, never more than the non-empty
+    // private queues; each queue it acts on is examined. Without shed
+    // directives every examined queue has a member that acts.
     EXPECT_LE(visited, nonempty);
+    if (acted > 0) {
+      EXPECT_GT(visited, 0u);
+    }
+    if (!model.has_shed()) {
+      EXPECT_LE(visited, acted);
+    }
   };
 
   for (int step = 0; step < steps; ++step) {
@@ -614,12 +700,13 @@ void run_oracle(std::uint64_t seed, int steps) {
       const SubscriberId sub = pick_sub();
       const Bounds b = pick_bounds();
       model.subscribe(unit, sub, b);
-      sys.subscribe(unit, sub, b);
+      held[{unit, sub}] = sys.subscribe(unit, sub, b);
     } else if (op < 58) {
       const DyconitId unit = pick_unit();
       const SubscriberId sub = pick_sub();
       model.unsubscribe(unit, sub);
       sys.unsubscribe(unit, sub);
+      held.erase({unit, sub});
     } else if (op < 62) {
       // Unsubscribe then resubscribe the same id before the next tick.
       const DyconitId unit = pick_unit();
@@ -628,14 +715,16 @@ void run_oracle(std::uint64_t seed, int steps) {
       model.unsubscribe(unit, sub);
       sys.unsubscribe(unit, sub);
       model.subscribe(unit, sub, b);
-      sys.subscribe(unit, sub, b);
+      held[{unit, sub}] = sys.subscribe(unit, sub, b);
     } else if (op < 66) {
       // A retune tightens a (possibly pending) queue, then the server
       // flushes again at the same sim time.
       const DyconitId unit = pick_unit();
       const SubscriberId sub = pick_sub();
       model.set_bounds(unit, sub, Bounds::zero());
-      sys.set_bounds(unit, sub, Bounds::zero());
+      if (const auto it = held.find({unit, sub}); it != held.end()) {
+        sys.set_bounds(it->second, Bounds::zero());
+      }
       do_tick();
     } else if (op < 70) {
       const SubscriberId sub = pick_sub();
@@ -656,6 +745,7 @@ void run_oracle(std::uint64_t seed, int steps) {
       const SubscriberId sub = pick_sub();
       model.unsubscribe_all(sub);
       sys.unsubscribe_all(sub);
+      std::erase_if(held, [sub](const auto& e) { return e.first.second == sub; });
     } else if (op < 78) {
       model.flush_all();
       sys.flush_all(sink);
@@ -682,16 +772,34 @@ void run_oracle(std::uint64_t seed, int steps) {
     model.recs.clear();
     sink.recs.clear();
     expect_same_stats(model.stats, sys.stats());
+    EXPECT_EQ(model.appends, sys.stats().queue_appends);
+    EXPECT_EQ(model.splits, sys.stats().queue_splits);
+    sys.check_invariants();
     ASSERT_EQ(model.dyconit_count(), sys.dyconit_count()) << "seed " << seed << " step " << step;
     if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << " step " << step;
   }
+  coverage.shared3 += model.coverage.shared3;
+  coverage.exclusion_splits += model.coverage.exclusion_splits;
+  coverage.shed_splits += model.coverage.shed_splits;
+  coverage.partial_flushes += model.coverage.partial_flushes;
 }
 
 TEST(FullScanOracle, PendingOnlyTickMatchesFullScan) {
+  FullScanModel::Coverage coverage;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    run_oracle(seed, 300);
+    run_oracle(seed, 300, coverage);
     if (::testing::Test::HasFailure()) return;
   }
+  std::printf("sharing events: shared3=%zu exclusion_splits=%zu shed_splits=%zu "
+              "partial_flushes=%zu\n",
+              coverage.shared3, coverage.exclusion_splits, coverage.shed_splits,
+              coverage.partial_flushes);
+  // The stream must reach every way a shared queue diverges, or the
+  // comparison above says nothing about it.
+  EXPECT_GT(coverage.shared3, 0u);
+  EXPECT_GT(coverage.exclusion_splits, 0u);
+  EXPECT_GT(coverage.shed_splits, 0u);
+  EXPECT_GT(coverage.partial_flushes, 0u);
 }
 
 }  // namespace
