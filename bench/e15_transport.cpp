@@ -2,8 +2,9 @@
 // path added with net::UdpTransport: datagram framing (encode/parse),
 // fragmentation + reassembly of over-MTU frames, and — where sockets are
 // available — real UDP loopback throughput and round-trip latency between
-// two transports in one process. All timings are wall-clock (this layer is
-// real I/O, not simulation).
+// two transports in one process, and the vanilla broadcast fan-out (one
+// payload to several peers) sent as shared frames versus owned copies.
+// All timings are wall-clock (this layer is real I/O, not simulation).
 //
 //   e15_transport [--iters=N] [--batch=FRAMES] [--payload=BYTES]
 //                 [--runs=N | --seeds=a,b,c] [--json=FILE]
@@ -13,9 +14,11 @@
 // the run-to-run spread (the honest noise band for this real-I/O bench).
 #include <chrono>
 #include <cstring>
+#include <memory>
 
 #include "bench_util.h"
 #include "net/buffer_pool.h"
+#include "net/shared_frame.h"
 #include "net/udp_framing.h"
 #include "net/udp_transport.h"
 
@@ -186,8 +189,67 @@ int main(int argc, char** argv) {
       rtt_ms.add(now_ms() - t0);
     }
 
+    // -- fan-out: each round, 1,500 payloads to 3 peers, the shape of a
+    // udp_swarm tick. "shared" sends each recipient the master's bytes
+    // through send_shared; "owned" stamps a pooled copy per recipient and
+    // sends that (Transport's default, which the sim and fault layer use).
+    // Timed: the sends and the flush. The two forms alternate which goes
+    // first; receivers drain between them, untimed.
+    constexpr std::size_t kFanoutMobs = 1500;
+    constexpr std::size_t kFanoutPeers = 3;
+    constexpr std::size_t kFanoutPayload = 24;  // about an EntityMove
+    std::vector<std::unique_ptr<net::UdpTransport>> viewers;
+    std::vector<net::EndpointId> viewer_local, to_viewer;
+    for (std::size_t v = 0; v < kFanoutPeers; ++v) {
+      viewers.push_back(std::make_unique<net::UdpTransport>(clock, ucfg));
+      if (!viewers.back()->valid()) break;
+      viewer_local.push_back(viewers.back()->create_endpoint("viewer"));
+      to_viewer.push_back(tx.add_peer("127.0.0.1", viewers.back()->local_port(), "viewer"));
+    }
+    Samples fanout_shared_ms, fanout_owned_ms;
+    std::uint32_t fanout_seq = 0;
+    for (std::size_t it = 0; it < iters && to_viewer.size() == kFanoutPeers; ++it) {
+      for (const bool shared : {it % 2 == 0, it % 2 != 0}) {
+        std::vector<net::SharedFrame> masters;
+        masters.reserve(kFanoutMobs);
+        for (std::size_t m = 0; m < kFanoutMobs; ++m) {
+          const net::Frame f =
+              make_frame(static_cast<std::uint8_t>(1 + m % 20), 0, kFanoutPayload);
+          std::vector<std::uint8_t> buf = net::BufferPool::instance().acquire();
+          buf.assign(f.payload.begin(), f.payload.end());
+          masters.emplace_back(f.tag, std::move(buf));
+        }
+        const double t0 = now_ms();
+        for (const net::SharedFrame& m : masters) {
+          ++fanout_seq;
+          for (const net::EndpointId to : to_viewer) {
+            if (shared) {
+              tx.send_shared(tx_local, to, m, fanout_seq, {});
+            } else {
+              tx.send(tx_local, to, m.instance(fanout_seq, {}));
+            }
+          }
+        }
+        tx.flush_egress();
+        (shared ? fanout_shared_ms : fanout_owned_ms).add(now_ms() - t0);
+        std::size_t seen = 0;
+        const double deadline = now_ms() + 2000.0;
+        while (seen < kFanoutMobs * kFanoutPeers && now_ms() < deadline) {
+          for (std::size_t v = 0; v < kFanoutPeers; ++v) {
+            viewers[v]->pump(0);
+            for (auto& d : viewers[v]->poll(viewer_local[v])) {
+              ++seen;
+              net::BufferPool::instance().release(std::move(d.frame.payload));
+            }
+          }
+        }
+      }
+    }
+
     report.phases.push_back(phase_of("udp.loopback_batch", batch_ms));
     report.phases.push_back(phase_of("udp.rtt", rtt_ms));
+    report.phases.push_back(phase_of("udp.fanout_1500x3.shared", fanout_shared_ms));
+    report.phases.push_back(phase_of("udp.fanout_1500x3.owned", fanout_owned_ms));
     if (batch_ms.count() > 0 && batch_ms.mean() > 0) {
       report.metrics.push_back(
           {"udp_loopback_frames_per_s",

@@ -62,14 +62,17 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 want() { case " $stages " in *" $1 "*) return 0 ;; *) return 1 ;; esac; }
 
 # One scripted run (DESIGN.md §12): server + $2 clients over UDP loopback
-# from the $1 build tree, hash lines collected into $3. Exit codes of every
-# process are checked (set -e + wait), so sanitizer reports fail the stage.
+# from the $1 build tree for $4 ticks, hash lines collected into $3; any
+# further arguments are schedule flags passed to every process. Exit codes
+# of every process are checked (set -e + wait), so sanitizer reports fail
+# the stage.
 e2e_udp_run() {
   local bdir="$1" clients="$2" out="$3" ticks="$4"
+  shift 4
   local tmp spid port idx
   tmp="$(mktemp -d)"
   "$bdir/src/apps/dyconits_server" --transport=udp --ticks="$ticks" \
-    --clients="$clients" --port-file="$tmp/port" >"$tmp/server.out" &
+    --clients="$clients" --port-file="$tmp/port" "$@" >"$tmp/server.out" &
   spid=$!
   for _ in $(seq 1 200); do [ -s "$tmp/port" ] && break; sleep 0.05; done
   if [ ! -s "$tmp/port" ]; then
@@ -81,7 +84,7 @@ e2e_udp_run() {
   local cpids=()
   for idx in $(seq 0 $((clients - 1))); do
     "$bdir/src/apps/dyconits_client" --connect="127.0.0.1:$port" \
-      --index="$idx" --ticks="$ticks" >"$tmp/client$idx.out" &
+      --index="$idx" --ticks="$ticks" "$@" >"$tmp/client$idx.out" &
     cpids+=("$!")
   done
   for p in "${cpids[@]}"; do wait "$p"; done
@@ -235,33 +238,40 @@ if want e2e-udp; then
   # separate OS processes over real UDP sockets deliver byte streams whose
   # per-session wire hashes match the SimNetwork oracle bit-for-bit. The
   # hashes are computed above the transport, so fragmentation, coalescing,
-  # and datagram framing are all on trial.
+  # datagram framing and the borrowed-byte shared sends are all on trial.
+  # Two schedules: the small default, and 400 mobs to 3 clients, which puts
+  # many shared sends in every tick and flushes staging mid-tick.
   e2e_ticks=40
-  e2e_clients=2
+  e2e_schedules=("--clients=2" "--clients=3 --mobs=400")
   cmake -B "$prefix" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$prefix" -j "$jobs" --target dyconits_server dyconits_client
-  e2e_dir="$(mktemp -d)"
-  "$prefix/src/apps/dyconits_server" --transport=sim --ticks="$e2e_ticks" \
-    --clients="$e2e_clients" | grep '^wire_hash' | sort >"$e2e_dir/oracle.txt"
-  e2e_udp_run "$prefix" "$e2e_clients" "$e2e_dir/udp.txt" "$e2e_ticks"
-  if ! diff -u "$e2e_dir/oracle.txt" "$e2e_dir/udp.txt"; then
-    echo "FAIL: UDP wire hashes diverge from the sim oracle" >&2
-    exit 1
-  fi
-  echo "-- wire hashes match the sim oracle ($(wc -l <"$e2e_dir/oracle.txt") sessions)"
-  # Same run under ASan+UBSan: every process must exit 0 with no leak or
-  # sanitizer report (sockets, epoll registration, pooled payloads,
-  # reassembly buffers all torn down cleanly), and the hashes must still
-  # match the (sanitizer-build) oracle.
   cmake -B "$prefix-sanitize" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDYCONITS_SANITIZE="address;undefined" >/dev/null
   cmake --build "$prefix-sanitize" -j "$jobs" --target dyconits_server dyconits_client
-  "$prefix-sanitize/src/apps/dyconits_server" --transport=sim --ticks="$e2e_ticks" \
-    --clients="$e2e_clients" | grep '^wire_hash' | sort >"$e2e_dir/oracle-asan.txt"
-  diff -u "$e2e_dir/oracle.txt" "$e2e_dir/oracle-asan.txt"
-  e2e_udp_run "$prefix-sanitize" "$e2e_clients" "$e2e_dir/udp-asan.txt" "$e2e_ticks"
-  diff -u "$e2e_dir/oracle.txt" "$e2e_dir/udp-asan.txt"
-  echo "-- ASan run: clean shutdown, hashes still match"
+  e2e_dir="$(mktemp -d)"
+  for schedule in "${e2e_schedules[@]}"; do
+    read -ra flags <<<"$schedule"
+    clients="${flags[0]#--clients=}"
+    echo "-- schedule: $schedule"
+    "$prefix/src/apps/dyconits_server" --transport=sim --ticks="$e2e_ticks" "${flags[@]}" \
+      | grep '^wire_hash' | sort >"$e2e_dir/oracle.txt"
+    e2e_udp_run "$prefix" "$clients" "$e2e_dir/udp.txt" "$e2e_ticks" "${flags[@]:1}"
+    if ! diff -u "$e2e_dir/oracle.txt" "$e2e_dir/udp.txt"; then
+      echo "FAIL: UDP wire hashes diverge from the sim oracle" >&2
+      exit 1
+    fi
+    echo "-- wire hashes match the sim oracle ($(wc -l <"$e2e_dir/oracle.txt") sessions)"
+    # Same run under ASan+UBSan: every process must exit 0 with no leak or
+    # sanitizer report (sockets, epoll registration, pooled payloads,
+    # reassembly buffers all torn down cleanly), and the hashes must still
+    # match the (sanitizer-build) oracle.
+    "$prefix-sanitize/src/apps/dyconits_server" --transport=sim --ticks="$e2e_ticks" "${flags[@]}" \
+      | grep '^wire_hash' | sort >"$e2e_dir/oracle-asan.txt"
+    diff -u "$e2e_dir/oracle.txt" "$e2e_dir/oracle-asan.txt"
+    e2e_udp_run "$prefix-sanitize" "$clients" "$e2e_dir/udp-asan.txt" "$e2e_ticks" "${flags[@]:1}"
+    diff -u "$e2e_dir/oracle.txt" "$e2e_dir/udp-asan.txt"
+    echo "-- ASan run: clean shutdown, hashes still match"
+  done
   rm -rf "$e2e_dir"
 fi
 

@@ -13,6 +13,7 @@
 
 #include "dyconit/policies/factory.h"
 #include "net/fault_transport.h"
+#include "net/shared_frame.h"
 #include "net/sim_network.h"
 #include "net/udp_transport.h"
 #include "protocol/codec.h"
@@ -78,6 +79,12 @@ class LockstepGate final : public net::Transport {
   }
   bool send(net::EndpointId from, net::EndpointId to, net::Frame frame) override {
     return inner_.send(from, to, std::move(frame));
+  }
+  /// Forwarded, not left to the default: the server's broadcasts then take
+  /// UdpTransport's borrowed-byte path, which the e2e check puts on trial.
+  bool send_shared(net::EndpointId from, net::EndpointId to, const net::SharedFrame& shared,
+                   std::uint32_t seq, SimTime trace_origin) override {
+    return inner_.send_shared(from, to, shared, seq, trace_origin);
   }
   std::vector<net::Delivery> poll(net::EndpointId to) override {
     collect();

@@ -21,6 +21,8 @@
 
 namespace dyconits::net {
 
+class SharedFrame;
+
 /// Highest message tag value + 1; tags index fixed-size accounting arrays.
 inline constexpr std::size_t kMaxTags = 32;
 
@@ -43,8 +45,11 @@ struct Frame {
   /// deployment would not ship it, and UdpTransport does not.
   SimTime trace_origin;
 
-  std::size_t wire_size() const {
-    return 1 + varint_size(seq) + varint_size(payload.size()) + payload.size();
+  std::size_t wire_size() const { return wire_size_for(seq, payload.size()); }
+
+  /// Wire bytes of a frame with this seq and an `n`-byte payload.
+  static std::size_t wire_size_for(std::uint32_t seq, std::size_t n) {
+    return 1 + varint_size(seq) + varint_size(n) + n;
   }
 };
 
@@ -97,6 +102,18 @@ class Transport {
   /// as the sender can know (no link / no peer); true for frames that got
   /// on the wire, even ones later lost — the sender cannot know.
   virtual bool send(EndpointId from, EndpointId to, Frame frame) = 0;
+
+  /// Sends one recipient's copy of a broadcast payload (DESIGN.md §11):
+  /// `shared`'s tag and bytes under this recipient's `seq` and
+  /// `trace_origin`, with the same result and wire bytes as send() of that
+  /// frame. The default stamps shared.instance() — an owned pooled copy —
+  /// and calls send(); SimNetwork keeps it because its inbox must own
+  /// frames, and FaultInjectingTransport because it corrupts one
+  /// recipient's copy. UdpTransport overrides it to append the borrowed
+  /// bytes straight into the peer's datagram staging, and a wrapper must
+  /// forward it to keep that path. `shared` is read only during the call.
+  virtual bool send_shared(EndpointId from, EndpointId to, const SharedFrame& shared,
+                           std::uint32_t seq, SimTime trace_origin);
 
   /// All frames currently deliverable to `to`, in arrival order.
   virtual std::vector<Delivery> poll(EndpointId to) = 0;

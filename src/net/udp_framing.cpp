@@ -1,28 +1,32 @@
 #include "net/udp_framing.h"
 
+#include <algorithm>
+
 #include "net/buffer_pool.h"
 
 namespace dyconits::net::udpwire {
 
-void append_frame(std::vector<std::uint8_t>& out, const Frame& f) {
-  // ByteWriter adopt-clears its buffer, but datagram coalescing needs append
-  // semantics, so the header (tag + two LEB128 varints) is written by hand.
-  out.push_back(f.tag);
-  std::uint64_t v = f.seq;
+namespace {
+
+/// Unsigned LEB128, appended (ByteWriter adopt-clears its buffer, but
+/// datagram coalescing needs append semantics).
+void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   do {
     std::uint8_t byte = static_cast<std::uint8_t>(v & 0x7F);
     v >>= 7;
     if (v) byte |= 0x80;
     out.push_back(byte);
   } while (v);
-  v = f.payload.size();
-  do {
-    std::uint8_t byte = static_cast<std::uint8_t>(v & 0x7F);
-    v >>= 7;
-    if (v) byte |= 0x80;
-    out.push_back(byte);
-  } while (v);
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
+}
+
+}  // namespace
+
+void append_frame(std::vector<std::uint8_t>& out, std::uint8_t tag, std::uint32_t seq,
+                  const std::uint8_t* payload, std::size_t n) {
+  out.push_back(tag);
+  append_varint(out, seq);
+  append_varint(out, n);
+  out.insert(out.end(), payload, payload + n);
 }
 
 bool parse_frames(const std::uint8_t* body, std::size_t n, std::vector<Frame>& out) {
@@ -43,32 +47,45 @@ bool parse_frames(const std::uint8_t* body, std::size_t n, std::vector<Frame>& o
   return true;
 }
 
-std::vector<std::vector<std::uint8_t>> fragment_frame(const Frame& f, std::size_t mtu,
+std::vector<std::vector<std::uint8_t>> fragment_frame(std::uint8_t tag, std::uint32_t seq,
+                                                      const std::uint8_t* payload,
+                                                      std::size_t n, std::size_t mtu,
                                                       std::uint32_t msg_id) {
-  // Serialize the frame exactly as it would appear in a Data body, then
-  // slice that encoding into chunks sized so every Fragment datagram
-  // (kind byte + header varints + chunk blob) fits the MTU.
-  std::vector<std::uint8_t> encoded;
-  encoded.reserve(f.wire_size());
-  append_frame(encoded, f);
+  // Slice the frame's Data-body encoding (header, then the payload read in
+  // place) into chunks sized so every Fragment datagram (kind byte + header
+  // varints + chunk blob) fits the MTU.
+  std::vector<std::uint8_t> header;
+  header.push_back(tag);
+  append_varint(header, seq);
+  append_varint(header, n);
+  const std::size_t total = header.size() + n;
 
   const std::size_t budget = mtu > kFragmentOverhead ? mtu - kFragmentOverhead : 1;
-  const std::size_t count = (encoded.size() + budget - 1) / budget;
+  const std::size_t count = (total + budget - 1) / budget;
   if (count > kMaxFragments) return {};
 
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t off = i * budget;
-    const std::size_t len = std::min(budget, encoded.size() - off);
-    ByteWriter w;
-    w.reserve(len + kFragmentOverhead);
-    w.u8(static_cast<std::uint8_t>(DatagramKind::Fragment));
-    w.varint(msg_id);
-    w.varint(i);
-    w.varint(count);
-    w.blob(encoded.data() + off, len);
-    out.push_back(w.take());
+    const std::size_t len = std::min(budget, total - off);
+    std::vector<std::uint8_t> d;
+    d.reserve(len + kFragmentOverhead);
+    d.push_back(static_cast<std::uint8_t>(DatagramKind::Fragment));
+    append_varint(d, msg_id);
+    append_varint(d, i);
+    append_varint(d, count);
+    append_varint(d, len);
+    const std::size_t from_header =
+        off < header.size() ? std::min(len, header.size() - off) : 0;
+    if (from_header > 0) {
+      d.insert(d.end(), header.data() + off, header.data() + off + from_header);
+    }
+    if (len > from_header) {
+      const std::size_t p = off + from_header - header.size();
+      d.insert(d.end(), payload + p, payload + p + (len - from_header));
+    }
+    out.push_back(std::move(d));
   }
   return out;
 }

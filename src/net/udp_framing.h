@@ -46,9 +46,14 @@ inline constexpr std::size_t kMaxFragments = 1024;
 /// chunk-blob length prefix. Used to size chunks so any fragment fits MTU.
 inline constexpr std::size_t kFragmentOverhead = 1 + 5 + 3 + 3 + 3;
 
-/// Appends one frame's wire encoding (tag, seq varint, length varint,
-/// payload) to `out`. Exactly Frame::wire_size() bytes.
-void append_frame(std::vector<std::uint8_t>& out, const Frame& f);
+/// Appends one frame's wire encoding (tag, seq varint, length varint, the
+/// `n` payload bytes read in place) to `out`. Exactly Frame::wire_size()
+/// bytes.
+void append_frame(std::vector<std::uint8_t>& out, std::uint8_t tag, std::uint32_t seq,
+                  const std::uint8_t* payload, std::size_t n);
+inline void append_frame(std::vector<std::uint8_t>& out, const Frame& f) {
+  append_frame(out, f.tag, f.seq, f.payload.data(), f.payload.size());
+}
 
 /// Parses a Data datagram body (everything after the kind byte) into
 /// frames. Payload buffers are acquired from BufferPool. Returns false if
@@ -56,13 +61,20 @@ void append_frame(std::vector<std::uint8_t>& out, const Frame& f);
 /// kept.
 bool parse_frames(const std::uint8_t* body, std::size_t n, std::vector<Frame>& out);
 
-/// Splits one frame into ready-to-send Fragment datagrams (kind byte
-/// included). `mtu` is the max datagram size; the frame's encoding must
-/// need more than one chunk, i.e. call only when
-/// f.wire_size() + 1 > mtu. Returns empty if the split would exceed
+/// Splits one frame (its `n` payload bytes read in place) into ready-to-send
+/// Fragment datagrams (kind byte included). `mtu` is the max datagram size;
+/// the frame's encoding must need more than one chunk, i.e. call only when
+/// its wire_size() + 1 > mtu. Returns empty if the split would exceed
 /// kMaxFragments.
-std::vector<std::vector<std::uint8_t>> fragment_frame(const Frame& f, std::size_t mtu,
+std::vector<std::vector<std::uint8_t>> fragment_frame(std::uint8_t tag, std::uint32_t seq,
+                                                      const std::uint8_t* payload,
+                                                      std::size_t n, std::size_t mtu,
                                                       std::uint32_t msg_id);
+inline std::vector<std::vector<std::uint8_t>> fragment_frame(const Frame& f,
+                                                             std::size_t mtu,
+                                                             std::uint32_t msg_id) {
+  return fragment_frame(f.tag, f.seq, f.payload.data(), f.payload.size(), mtu, msg_id);
+}
 
 struct ReassemblyStats {
   std::uint64_t completed = 0;          // frames restored from fragments

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "net/buffer_pool.h"
+#include "net/shared_frame.h"
 
 #if defined(__linux__)
 #include <arpa/inet.h>
@@ -188,26 +189,40 @@ EndpointId UdpTransport::peer_by_addr(std::uint32_t ip, std::uint16_t port) {
 }
 
 bool UdpTransport::send(EndpointId from, EndpointId to, Frame frame) {
+  const bool sent = stage(from, to, frame.tag, frame.seq, frame.payload);
+  BufferPool::instance().release(std::move(frame.payload));
+  return sent;
+}
+
+bool UdpTransport::send_shared(EndpointId from, EndpointId to, const SharedFrame& shared,
+                               std::uint32_t seq, SimTime trace_origin) {
+  (void)trace_origin;  // not shipped over UDP (see net::Frame)
+  return stage(from, to, shared.tag(), seq, shared.payload());
+}
+
+bool UdpTransport::stage(EndpointId from, EndpointId to, std::uint8_t tag,
+                         std::uint32_t seq, const std::vector<std::uint8_t>& payload) {
   if (from != local_ || fd_ < 0) return false;
   Peer* p = peer_of(to);
   if (!p || !p->alive || p->addr_port == 0) return false;
 
   // Frame-level accounting mirrors SimNetwork: the modeled wire cost of the
   // stamped frame, independent of datagram packing.
-  const std::size_t wire = frame.wire_size();
+  const std::size_t n = payload.size();
+  const std::size_t wire = Frame::wire_size_for(seq, n);
   p->egress_bytes += wire;
   ++p->egress_frames;
 
   if (wire + 1 > cfg_.mtu) {
     flush_peer(to, *p);
-    auto datagrams = udpwire::fragment_frame(frame, cfg_.mtu, p->next_msg_id++);
+    auto datagrams =
+        udpwire::fragment_frame(tag, seq, payload.data(), n, cfg_.mtu, p->next_msg_id++);
     for (const auto& d : datagrams) raw_send(*p, d.data(), d.size());
     stats_.fragments_sent += datagrams.size();
   } else {
     if (p->staging.size() + wire > cfg_.mtu) flush_peer(to, *p);
-    udpwire::append_frame(p->staging, frame);
+    udpwire::append_frame(p->staging, tag, seq, payload.data(), n);
   }
-  BufferPool::instance().release(std::move(frame.payload));
   return true;
 }
 

@@ -5,13 +5,13 @@
 // add_peer(host, port) (clients naming their server) or auto-registered
 // when a datagram arrives from an unknown source address (the server
 // learning its clients). Frames keep the exact wire encoding SimNetwork
-// models — send() coalesces them into MTU-sized Data datagrams flushed by
-// flush_egress(), oversized frames are split by udpwire::fragment_frame and
-// reassembled on the far side, and loss/reorder surfaces to the application
-// as the same sequence gaps the fault layer produces, repaired by the
-// existing resync machinery. Liveness is wall-clock: periodic Keepalive
-// datagrams refresh per-peer idle timers, and a peer silent past
-// idle_timeout is disconnected.
+// models — send() and send_shared() coalesce them into MTU-sized Data
+// datagrams flushed by flush_egress(), oversized frames are split by
+// udpwire::fragment_frame and reassembled on the far side, and
+// loss/reorder surfaces to the application as the same sequence gaps the
+// fault layer produces, repaired by the existing resync machinery.
+// Liveness is wall-clock: periodic Keepalive datagrams refresh per-peer
+// idle timers, and a peer silent past idle_timeout is disconnected.
 //
 // Delivery timestamps (sent/arrival) are stamped from the *application*
 // SimClock at pump() time — each process owns its clock, and cross-process
@@ -116,6 +116,10 @@ class UdpTransport final : public Transport {
   EndpointId create_endpoint(std::string name) override;
   const std::string& endpoint_name(EndpointId id) const override;
   bool send(EndpointId from, EndpointId to, Frame frame) override;
+  /// Appends the borrowed payload bytes straight into the peer's datagram
+  /// staging (or fragments them in place): no pooled copy per recipient.
+  bool send_shared(EndpointId from, EndpointId to, const SharedFrame& shared,
+                   std::uint32_t seq, SimTime trace_origin) override;
   std::vector<Delivery> poll(EndpointId to) override;
   void disconnect(EndpointId a, EndpointId b) override;
   bool connected(EndpointId a, EndpointId b) const override;
@@ -163,6 +167,12 @@ class UdpTransport final : public Transport {
   Peer* peer_of(EndpointId id);
   const Peer* peer_of(EndpointId id) const;
   EndpointId peer_by_addr(std::uint32_t ip, std::uint16_t port);
+  /// The one staging path under both sends: accounts the frame's wire
+  /// size, then coalesces its encoding into the peer's pending Data
+  /// datagram, or fragments it when it cannot fit one. Reads `payload`
+  /// only during the call.
+  bool stage(EndpointId from, EndpointId to, std::uint8_t tag, std::uint32_t seq,
+             const std::vector<std::uint8_t>& payload);
   void flush_peer(EndpointId id, Peer& p);
   void raw_send(Peer& p, const std::uint8_t* data, std::size_t n);
   void handle_datagram(EndpointId from, Peer& p, const std::uint8_t* data, std::size_t n);

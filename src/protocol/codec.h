@@ -17,9 +17,9 @@ namespace dyconits::protocol {
 /// instead of allocating (DESIGN.md §11).
 net::Frame encode(const AnyMessage& msg);
 
-/// Encodes once into a refcounted broadcast payload (DESIGN.md §11): a
-/// batch destined for N subscribers serializes a single master; callers
-/// stamp per-recipient frames with SharedFrame::instance().
+/// Encodes once into a single-owner broadcast payload (DESIGN.md §11): a
+/// batch destined for N subscribers serializes a single master, which each
+/// recipient's Transport::send_shared reads.
 net::SharedFrame encode_shared(const AnyMessage& msg);
 
 /// Exact wire size encode(msg) would produce — tag byte, seq varint (encode

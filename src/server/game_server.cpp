@@ -349,7 +349,8 @@ void GameServer::begin_resync(Session& s) {
   // Refresh every entity the client should know (spawn is an upsert on the
   // client); heals lost spawns and stale positions. The client prunes
   // replica entities this refresh does not confirm when the ack arrives.
-  for (const EntityId id : s.known_entities) {
+  // Ascending id: the replay order is a function of the set, not its table.
+  for (const EntityId id : s.known_entities.sorted()) {
     const Entity* e = registry_.find(id);
     if (e != nullptr) send_entity_spawn(s, *e);
   }
@@ -499,7 +500,7 @@ void GameServer::dispatch_entity_move(const Entity& e, double weight) {
   for (const SubscriberId sub : it->second) {
     if (sub == own) continue;
     Session* s = session_of(sub);
-    if (s != nullptr && s->known_entities.count(e.id) > 0) {
+    if (s != nullptr && s->known_entities.contains(e.id)) {
       send_or_queue(*s, out, now, &shared);
     }
   }
@@ -542,7 +543,7 @@ void GameServer::add_interest_chunk(Session& s, ChunkPos c) {
     for (const EntityId id : *ids) {
       if (id == s.entity) continue;
       const Entity* e = registry_.find(id);
-      if (e != nullptr && s.known_entities.insert(id).second) {
+      if (e != nullptr && s.known_entities.insert(id)) {
         send_entity_spawn(s, *e);
       }
     }
@@ -579,7 +580,7 @@ void GameServer::remove_interest_chunk(Session& s, ChunkPos c) {
 
   if (const auto* ids = registry_.entities_in_chunk(c)) {
     for (const EntityId id : *ids) {
-      if (s.known_entities.erase(id) > 0) send_or_queue(s, protocol::EntityDespawn{id});
+      if (s.known_entities.erase(id)) send_or_queue(s, protocol::EntityDespawn{id});
     }
   }
 
@@ -619,7 +620,7 @@ void GameServer::entity_crossed_chunk(Entity& e, ChunkPos from, ChunkPos to) {
     for (const SubscriberId sub : *old_viewers) {
       if (new_viewers != nullptr && new_viewers->count(sub) > 0) continue;
       Session* s = session_of(sub);
-      if (s != nullptr && s->entity != e.id && s->known_entities.erase(e.id) > 0) {
+      if (s != nullptr && s->entity != e.id && s->known_entities.erase(e.id)) {
         send_or_queue(*s, despawn, {}, &shared);
       }
     }
@@ -631,7 +632,7 @@ void GameServer::entity_crossed_chunk(Entity& e, ChunkPos from, ChunkPos to) {
     for (const SubscriberId sub : *new_viewers) {
       if (old_viewers != nullptr && old_viewers->count(sub) > 0) continue;
       Session* s = session_of(sub);
-      if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id).second) {
+      if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id)) {
         send_or_queue(*s, spawn, {}, &shared);
       }
     }
@@ -843,7 +844,7 @@ void GameServer::despawn_entity_everywhere(EntityId id, ChunkPos chunk) {
   net::SharedFrame shared;
   for (const SubscriberId sub : vit->second) {
     Session* s = session_of(sub);
-    if (s != nullptr && s->known_entities.erase(id) > 0) {
+    if (s != nullptr && s->known_entities.erase(id)) {
       send_or_queue(*s, msg, {}, &shared);
     }
   }
@@ -857,7 +858,7 @@ void GameServer::announce_spawn(const Entity& e) {
   net::SharedFrame shared;
   for (const SubscriberId sub : vit->second) {
     Session* s = session_of(sub);
-    if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id).second) {
+    if (s != nullptr && s->entity != e.id && s->known_entities.insert(e.id)) {
       send_or_queue(*s, msg, {}, &shared);
     }
   }
@@ -925,7 +926,7 @@ void GameServer::request_snapshot(SubscriberId to, const dyconit::DyconitId& uni
       if (const auto* ids = registry_.entities_in_chunk(c)) {
         for (const EntityId id : *ids) {
           const Entity* e = registry_.find(id);
-          if (e != nullptr && s->known_entities.count(id) > 0) {
+          if (e != nullptr && s->known_entities.contains(id)) {
             send_or_queue(*s, protocol::EntityMove{e->id, e->pos, e->yaw, e->pitch},
                           clock_.now());
           }
@@ -1210,11 +1211,11 @@ void GameServer::send_to(Session& s, const protocol::AnyMessage& m, SimTime trac
   TRACE_SCOPE("server.serialize_send");
   if (shared != nullptr) {
     // Broadcast fan-out (DESIGN.md §11): the payload is serialized once per
-    // broadcast; the first recipient encodes, later ones stamp their own
-    // seq onto a copy of the shared bytes.
+    // broadcast; the first recipient encodes, and each recipient's send
+    // carries its own seq with the shared bytes.
     if (!shared->valid()) *shared = protocol::encode_shared(m);
     if (cfg_.hash_streams) s.egress_hash.mix(shared->tag(), shared->payload());
-    net_.send(endpoint_, s.endpoint, shared->instance(++s.out_seq, trace_origin));
+    net_.send_shared(endpoint_, s.endpoint, *shared, ++s.out_seq, trace_origin);
     return;
   }
   net::Frame frame = protocol::encode(m);
@@ -1303,7 +1304,7 @@ void GameServer::disconnect(SubscriberId sub) {
       net::SharedFrame shared;
       for (const SubscriberId other_id : vit->second) {
         Session* other = session_of(other_id);
-        if (other != nullptr && other->known_entities.erase(e->id) > 0) {
+        if (other != nullptr && other->known_entities.erase(e->id)) {
           send_or_queue(*other, despawn, {}, &shared);
         }
       }

@@ -24,6 +24,7 @@
 #include "protocol/codec.h"
 #include "server/config.h"
 #include "trace/tick_profiler.h"
+#include "util/id_set.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "world/world.h"
@@ -171,7 +172,9 @@ class GameServer final : public dyconit::FlushSink {
     std::unordered_map<dyconit::DyconitId, UnitRef> unit_refs;
     std::deque<world::ChunkPos> chunk_queue;             // pending ChunkData sends
     std::unordered_set<world::ChunkPos> chunk_queued;    // membership for chunk_queue
-    std::unordered_set<entity::EntityId> known_entities;
+    /// Entities this client has been sent a spawn for and no despawn since;
+    /// a vanilla move probes it once per viewer.
+    util::IdSet<entity::EntityId> known_entities;
     std::unordered_map<world::Block, std::uint32_t> inventory;
     std::uint32_t keepalive_pending = 0;
     SimTime keepalive_sent_at;
@@ -279,8 +282,8 @@ class GameServer final : public dyconit::FlushSink {
   void ref_unit(Session& s, const dyconit::DyconitId& unit, const world::Vec3& pos);
   /// Encodes `m` and puts it on the wire. With `shared` (a broadcast
   /// fan-out, DESIGN.md §11) the first recipient encodes `m` once into it
-  /// and later recipients only stamp their session seq onto a copy of the
-  /// shared payload; callers keep one SharedFrame per fan-out loop.
+  /// and every recipient goes out through Transport::send_shared with its
+  /// session seq; callers keep one SharedFrame per fan-out loop.
   void send_to(Session& s, const protocol::AnyMessage& m, SimTime trace_origin = {},
                net::SharedFrame* shared = nullptr);
   /// The overload-aware send gate every session-directed message goes

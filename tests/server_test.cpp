@@ -3,6 +3,7 @@
 // session teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "dyconit/policies/basic.h"
@@ -562,6 +563,81 @@ TEST_F(ServerTest, DyconitSubscriptionsFollowInterest) {
       dyconit::DyconitId::chunk_blocks({2, 2}), sub));
   EXPECT_FALSE(server_->dyconits().is_subscribed(
       dyconit::DyconitId::chunk_blocks({3, 0}), sub));
+}
+
+TEST_F(ServerTest, VanillaMoveReachesExactlyTheViewersThatKnowTheEntity) {
+  build("");
+  TestClient a = make_client("alice");
+  TestClient b = make_client("bob", {12.5, 1, 8.5});
+  TestClient c = make_client("carol", {500.5, 1, 8.5});
+  a.join();
+  b.join();
+  c.join();
+  step({&a, &b, &c}, 2);
+  const entity::EntityId alice = server_->entity_of(a.ep());
+  const auto moves_of = [](const TestClient& t, entity::EntityId id, std::size_t from) {
+    std::size_t n = 0;
+    for (std::size_t i = from; i < t.inbox().size(); ++i) {
+      if (const auto* mv = std::get_if<protocol::EntityMove>(&t.inbox()[i])) {
+        n += mv->id == id ? 1 : 0;
+      }
+    }
+    return n;
+  };
+  b.clear();
+  c.clear();
+
+  // bob was sent alice's spawn and gets her move; carol, who never was,
+  // gets nothing.
+  a.send(protocol::PlayerMove{{9.5, 1, 8.5}, 0, 0});
+  step({&a, &b, &c});
+  EXPECT_EQ(moves_of(b, alice, 0), 1u);
+  EXPECT_EQ(moves_of(c, alice, 0), 0u);
+
+  // Alice walks east out of bob's view: bob is sent her despawn, and none
+  // of her later moves reach him.
+  double x = 9.5;
+  for (int i = 0; i < 12; ++i) {
+    x += 8.0;
+    a.send(protocol::PlayerMove{{x, 1, 8.5}, 0, 0});
+    step({&a, &b, &c});
+  }
+  std::size_t despawned_at = b.inbox().size();
+  for (std::size_t i = 0; i < b.inbox().size(); ++i) {
+    const auto* d = std::get_if<protocol::EntityDespawn>(&b.inbox()[i]);
+    if (d != nullptr && d->id == alice) despawned_at = i;
+  }
+  ASSERT_LT(despawned_at, b.inbox().size()) << "bob was never sent alice's despawn";
+  EXPECT_GT(moves_of(b, alice, 0), 1u);
+  EXPECT_EQ(moves_of(b, alice, despawned_at), 0u);
+  EXPECT_EQ(moves_of(c, alice, 0), 0u);
+}
+
+TEST_F(ServerTest, ResyncReplaysSpawnsInAscendingEntityId) {
+  build("");
+  TestClient a = make_client("alice");
+  a.join();
+  step({&a}, 2);
+  // Entities spread over the view, created out of spatial order.
+  std::vector<entity::EntityId> ids;
+  for (int i = 0; i < 40; ++i) {
+    const double x = -20.5 + (i * 17) % 40;
+    const double z = -20.5 + (i * 29) % 40;
+    ids.push_back(server_->spawn_external_entity(entity::EntityKind::Mob, {x, 1, z}, 0,
+                                                 "m" + std::to_string(i)));
+  }
+  step({&a}, 2);
+  ASSERT_EQ(a.count<protocol::EntitySpawn>(), ids.size());
+  a.clear();
+
+  a.send(protocol::ResyncRequest{0});
+  step({&a});
+  std::vector<entity::EntityId> replayed;
+  for (const auto& m : a.inbox()) {
+    if (const auto* sp = std::get_if<protocol::EntitySpawn>(&m)) replayed.push_back(sp->id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(replayed, ids);
 }
 
 // ------------------------------------------------------- federation hooks

@@ -1,7 +1,8 @@
 // Transport-layer tests (DESIGN.md §12): the pure UDP datagram codec
 // (framing, fragmentation, reassembly), damaged-datagram handling feeding
 // the application's sequence-gap detection, and real-socket smoke tests for
-// UdpTransport (skipped where sockets are unavailable).
+// UdpTransport (skipped where sockets are unavailable), including the
+// byte identity of shared-frame and owned-frame sends.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -9,11 +10,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <tuple>
 #include <thread>
 
 #include "bots/bot.h"
 #include "net/buffer_pool.h"
 #include "net/fault_transport.h"
+#include "net/shared_frame.h"
 #include "net/sim_network.h"
 #include "net/udp_framing.h"
 #include "net/udp_transport.h"
@@ -391,6 +394,93 @@ TEST(UdpTransportTest, MalformedTailStillDeliversParsedPrefix) {
   EXPECT_EQ(lo.a->stats().malformed_datagrams, malformed0 + 1);
 
   for (auto& d : got) net::BufferPool::instance().release(std::move(d.frame.payload));
+}
+
+/// A frame sequence that walks UdpTransport's staging edges at the default
+/// MTU: two frames that fill a datagram exactly, two that overshoot by one
+/// byte, a payload that fragments, the largest frame that fits a datagram
+/// alone and the smallest that fragments, an empty payload, then a run of
+/// small frames that coalesce.
+std::vector<Frame> staging_edge_frames() {
+  // Wire bytes of a frame here: tag + 1-byte seq + 2-byte length + payload.
+  const std::size_t mtu = kDefaultMtu;
+  std::vector<Frame> out;
+  std::uint32_t seq = 0;
+  const auto add = [&](std::uint8_t tag, std::size_t len) {
+    out.push_back(make_frame(tag, ++seq, len));
+  };
+  add(3, 600);
+  add(4, mtu - 1 - 604 - 4);  // kind byte + 604 + this == mtu
+  add(5, 600);
+  add(6, mtu - 1 - 604 - 4 + 1);  // one byte past: flushes first
+  add(7, 5000);
+  add(8, mtu - 1 - 4);  // wire + kind byte == mtu: one datagram
+  add(9, mtu - 4);      // wire + kind byte == mtu + 1: fragments
+  add(10, 0);
+  for (int i = 0; i < 30; ++i) add(static_cast<std::uint8_t>(11 + i % 5), 40 + i * 13);
+  return out;
+}
+
+/// What a receiver saw of one frame.
+using Received = std::tuple<std::uint8_t, std::uint32_t, std::vector<std::uint8_t>>;
+
+/// Sends `frames` from b to a, as owned frames or as shared-frame sends,
+/// and returns what a received plus b's sender-side counters.
+struct SendRun {
+  std::vector<Received> received;
+  std::uint64_t egress_bytes = 0;
+  std::uint64_t egress_frames = 0;
+  net::UdpStats stats;
+};
+
+SendRun send_over_loopback(Loopback& lo, const std::vector<Frame>& frames, bool shared) {
+  SendRun run;
+  for (const Frame& f : frames) {
+    if (shared) {
+      const net::SharedFrame master(f.tag, f.payload);
+      EXPECT_TRUE(lo.b->send_shared(lo.b_local, lo.b_to_a, master, f.seq, {}));
+      EXPECT_EQ(master.payload(), f.payload);  // borrowed, not consumed
+    } else {
+      EXPECT_TRUE(lo.b->send(lo.b_local, lo.b_to_a, f));
+    }
+  }
+  lo.b->flush_egress();
+  for (int spins = 0; spins < 2000 && run.received.size() < frames.size(); ++spins) {
+    lo.a->pump(/*timeout_ms=*/5);
+    for (auto& d : lo.a->poll(lo.a_local)) {
+      run.received.emplace_back(d.frame.tag, d.frame.seq, d.frame.payload);
+      net::BufferPool::instance().release(std::move(d.frame.payload));
+    }
+  }
+  run.egress_bytes = lo.b->egress_bytes(lo.b_local);
+  run.egress_frames = lo.b->egress_frames(lo.b_local);
+  run.stats = lo.b->stats();
+  return run;
+}
+
+TEST(UdpTransportTest, SharedSendsPutTheOwnedFramesBytesOnTheWire) {
+  const std::vector<Frame> frames = staging_edge_frames();
+  Loopback owned_lo, shared_lo;
+  if (!owned_lo.ok() || !shared_lo.ok()) {
+    GTEST_SKIP() << "no usable UDP sockets: " << owned_lo.a->error();
+  }
+  const SendRun owned = send_over_loopback(owned_lo, frames, /*shared=*/false);
+  const SendRun shared = send_over_loopback(shared_lo, frames, /*shared=*/true);
+
+  ASSERT_EQ(owned.received.size(), frames.size()) << "frames lost on loopback";
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(owned.received[i], Received(frames[i].tag, frames[i].seq, frames[i].payload))
+        << "frame " << i;
+  }
+  EXPECT_EQ(shared.received, owned.received);
+  EXPECT_EQ(shared.egress_bytes, owned.egress_bytes);
+  EXPECT_EQ(shared.egress_frames, owned.egress_frames);
+  // Same datagram boundaries: the same count and bytes of datagrams, and
+  // both over-MTU frames split the same way (4 + 2 fragments).
+  EXPECT_EQ(shared.stats.datagrams_sent, owned.stats.datagrams_sent);
+  EXPECT_EQ(shared.stats.datagram_bytes_sent, owned.stats.datagram_bytes_sent);
+  EXPECT_EQ(owned.stats.fragments_sent, 6u);
+  EXPECT_EQ(shared.stats.fragments_sent, owned.stats.fragments_sent);
 }
 
 // -- FaultInjectingTransport (DESIGN.md §13): the seeded fault decorator --
@@ -838,6 +928,76 @@ TEST(FaultTransportTest, ReassemblySurvivesWrapperChaos) {
   EXPECT_EQ(received, offered - fs->dropped.frames);
   EXPECT_EQ(intact, received) << "a reassembled frame came back corrupted";
   EXPECT_GE(lo.a->stats().frames_reassembled, received);
+}
+
+/// One seeded chaos run over loopback in which every frame goes through
+/// the fault layer as an owned frame or as a shared-frame send. Returns the
+/// decision digest; checks the ledger closes and that no corruption
+/// reached a shared master.
+std::uint64_t chaos_run_over_loopback(bool shared) {
+  Loopback lo;
+  net::FaultInjectingTransport fb(*lo.b, lo.clock);
+  net::FaultPlan plan;
+  plan.seed = 31;
+  plan.all_links.loss = 0.2;
+  plan.all_links.duplicate = 0.1;
+  plan.all_links.corrupt = 0.2;
+  plan.all_links.reorder = 0.2;
+  plan.all_links.reorder_extra = SimDuration::millis(20);
+  fb.set_fault_plan(plan);
+
+  const std::vector<Frame> frames = staging_edge_frames();
+  std::size_t received = 0, received_bytes = 0;
+  const auto collect = [&] {
+    for (auto& d : lo.a->poll(lo.a_local)) {
+      ++received;
+      received_bytes += d.frame.wire_size();
+      net::BufferPool::instance().release(std::move(d.frame.payload));
+    }
+  };
+  std::size_t offered = 0;
+  for (int round = 0; round < 8; ++round) {
+    for (const Frame& f : frames) {
+      const auto seq = static_cast<std::uint32_t>(++offered);
+      if (shared) {
+        const net::SharedFrame master(f.tag, f.payload);
+        EXPECT_TRUE(fb.send_shared(lo.b_local, lo.b_to_a, master, seq, {}));
+        EXPECT_EQ(master.payload(), f.payload) << "the fault layer corrupted the master";
+      } else {
+        EXPECT_TRUE(
+            fb.send(lo.b_local, lo.b_to_a, make_frame(f.tag, seq, f.payload.size())));
+      }
+    }
+    fb.flush_egress();
+    lo.clock.advance(SimDuration::millis(25));
+    lo.a->pump(/*timeout_ms=*/2);
+    collect();
+  }
+  lo.clock.advance(SimDuration::seconds(1));  // every holdback comes due
+  fb.flush_egress();
+  const net::FaultStats& fs = fb.fault_stats(lo.b_to_a);
+  const net::Tally want = net::ledger_in(fs);
+  for (int spins = 0; spins < 2000; ++spins) {
+    if (net::ledger_out(fs, {received, received_bytes}, fb.held(lo.b_to_a)) == want) break;
+    lo.a->pump(/*timeout_ms=*/2);
+    collect();
+  }
+  EXPECT_GT(fs.corrupted, 0u);
+  EXPECT_GT(fs.dropped.frames, 0u);
+  EXPECT_EQ(fb.frames_held(), 0u);
+  EXPECT_EQ(want, net::ledger_out(fs, {received, received_bytes}, {}));
+  return fb.decision_hash();
+}
+
+// The fault layer keeps Transport's default shared send (an owned copy per
+// recipient, which it may corrupt): the same plan makes the same decisions
+// whichever form the frames were offered in.
+TEST(FaultTransportTest, SharedSendsMakeTheOwnedFramesDecisions) {
+  Loopback probe;
+  if (!probe.ok()) GTEST_SKIP() << "no usable UDP sockets: " << probe.a->error();
+  const std::uint64_t owned = chaos_run_over_loopback(/*shared=*/false);
+  const std::uint64_t shared = chaos_run_over_loopback(/*shared=*/true);
+  EXPECT_EQ(owned, shared);
 }
 
 }  // namespace

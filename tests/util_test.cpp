@@ -1,15 +1,18 @@
 // Unit tests for src/util: simulated time, RNG, statistics, flags, and the
-// coalescing queue shared by the dyconit and egress queues.
+// coalescing queue shared by the dyconit and egress queues, and the flat id
+// set built on the same probe table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "util/coalescing_queue.h"
 #include "util/flags.h"
+#include "util/id_set.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 #include "util/stats.h"
@@ -853,6 +856,139 @@ TEST(CoalescingQueueTest, MatchesLinearScanModel) {
       peak_index = std::max(peak_index, q.index_capacity());
     }
     EXPECT_GE(peak_index, 256u);  // the stream did grow the index
+  }
+}
+
+// ------------------------------------------------------------------ IdSet
+
+using Ids = util::IdSet<std::uint32_t>;
+
+/// `n` distinct nonzero ids whose home slot in a `capacity`-slot table is
+/// `slot`, skipping the ids in `avoid`.
+std::vector<std::uint32_t> ids_homed_at(std::size_t slot, std::size_t capacity,
+                                        std::size_t n,
+                                        const std::vector<std::uint32_t>& avoid = {}) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t id = 1; out.size() < n; ++id) {
+    if (Ids::home_slot(id, capacity) != slot) continue;
+    if (std::find(avoid.begin(), avoid.end(), id) != avoid.end()) continue;
+    out.push_back(id);
+  }
+  return out;
+}
+
+TEST(IdSetTest, InsertEraseContains) {
+  Ids s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.capacity(), 0u);  // nothing allocated before the first insert
+  EXPECT_FALSE(s.contains(7));
+  EXPECT_FALSE(s.erase(7));
+  EXPECT_TRUE(s.insert(7));
+  EXPECT_FALSE(s.insert(7));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.capacity(), Ids::kInitialCapacity);
+  EXPECT_TRUE(s.contains(7));
+  EXPECT_TRUE(s.erase(7));
+  EXPECT_FALSE(s.erase(7));
+  EXPECT_FALSE(s.contains(7));
+  EXPECT_TRUE(s.insert(7));  // re-insert after erase
+  EXPECT_TRUE(s.contains(7));
+}
+
+TEST(IdSetTest, SortedIsAscendingWhateverTheTableOrder) {
+  Ids s;
+  std::vector<std::uint32_t> ids;
+  for (int id = 97; id > 0; id -= 3) ids.push_back(static_cast<std::uint32_t>(id));
+  for (const std::uint32_t id : ids) s.insert(id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(s.sorted(), ids);
+}
+
+TEST(IdSetTest, EraseChainWrapsPastTheEndOfTheTable) {
+  // Three ids homed at the last slot occupy it and slots 0 and 1; an id
+  // homed at 0 is displaced to 2. Erasing the first id empties the last
+  // slot, and the backward shift must carry the run back across the wrap.
+  const std::size_t cap = Ids::kInitialCapacity;
+  const std::vector<std::uint32_t> last = ids_homed_at(cap - 1, cap, 3);
+  const std::uint32_t zero = ids_homed_at(0, cap, 1, last)[0];
+  Ids s;
+  for (const std::uint32_t id : {last[0], last[1], last[2], zero}) s.insert(id);
+  ASSERT_EQ(s.capacity(), cap);
+  EXPECT_TRUE(s.erase(last[0]));
+  EXPECT_FALSE(s.contains(last[0]));
+  for (const std::uint32_t id : {last[1], last[2], zero}) EXPECT_TRUE(s.contains(id)) << id;
+  EXPECT_TRUE(s.erase(last[1]));
+  EXPECT_TRUE(s.contains(last[2]));
+  EXPECT_TRUE(s.contains(zero));
+  EXPECT_TRUE(s.erase(last[2]));
+  EXPECT_TRUE(s.contains(zero));
+  EXPECT_TRUE(s.insert(last[0]));  // re-enters the wrapped run
+  EXPECT_TRUE(s.contains(last[0]));
+  EXPECT_TRUE(s.contains(zero));
+  EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(IdSetTest, GrowthKeepsEveryId) {
+  Ids s;
+  std::size_t grows = 0;
+  for (std::uint32_t id = 1; id <= 1000; ++id) {
+    const std::size_t before = s.capacity();
+    EXPECT_TRUE(s.insert(id * 7919));
+    if (s.capacity() != before) ++grows;
+    EXPECT_LE(s.size() * 2, s.capacity());  // never past half full
+  }
+  EXPECT_EQ(s.capacity(), 2048u);
+  EXPECT_EQ(grows, 4u);  // 0 -> 256 -> 512 -> 1024 -> 2048
+  for (std::uint32_t id = 1; id <= 1000; ++id) EXPECT_TRUE(s.contains(id * 7919));
+  EXPECT_FALSE(s.contains(7918));
+}
+
+TEST(IdSetTest, MatchesUnorderedSetModel) {
+  // Random inserts, erases and probes against std::unordered_set. Ids come
+  // from a small range (re-insert after erase, long erase chains), from
+  // ids homed in the table's last slots (runs that wrap), and from a wide
+  // range (growth).
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    Ids s;
+    std::unordered_set<std::uint32_t> model;
+    std::size_t peak = 0;
+    std::vector<std::uint32_t> wrapping;
+    const std::size_t cap = Ids::kInitialCapacity;
+    for (std::size_t slot = cap - 3; slot < cap; ++slot) {
+      for (const std::uint32_t id : ids_homed_at(slot, cap, 6, wrapping)) {
+        wrapping.push_back(id);
+      }
+    }
+    for (int step = 0; step < 20000; ++step) {
+      const double pick = rng.next_double();
+      std::uint32_t id = 0;
+      if (pick < 0.4) {
+        id = static_cast<std::uint32_t>(rng.next_in(1, 64));
+      } else if (pick < 0.7) {
+        id = wrapping[rng.next_below(wrapping.size())];
+      } else {
+        id = static_cast<std::uint32_t>(rng.next_in(1, 1 << 20));
+      }
+      // Inserts outweigh erases early, then the set drains and refills.
+      const double op = rng.next_double();
+      const double insert_share = (step / 2000) % 2 == 0 ? 0.6 : 0.3;
+      if (op < insert_share) {
+        ASSERT_EQ(s.insert(id), model.insert(id).second) << "step " << step;
+      } else if (op < insert_share + 0.3) {
+        ASSERT_EQ(s.erase(id), model.erase(id) > 0) << "step " << step;
+      } else {
+        ASSERT_EQ(s.contains(id), model.count(id) > 0) << "step " << step;
+      }
+      ASSERT_EQ(s.size(), model.size()) << "step " << step;
+      peak = std::max(peak, s.capacity());
+    }
+    EXPECT_GE(peak, 2 * Ids::kInitialCapacity);  // the stream did grow the table
+    std::vector<std::uint32_t> want(model.begin(), model.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(s.sorted(), want);
+    for (const std::uint32_t id : wrapping) EXPECT_EQ(s.contains(id), model.count(id) > 0);
   }
 }
 
