@@ -8,12 +8,14 @@
 # the compile-out switch (DYCONITS_TRACING=OFF) still builds, then the
 # end-to-end UDP run: server + bot clients as separate OS processes over
 # loopback must produce the exact wire hashes the in-process sim oracle
-# predicts (DESIGN.md §12), including a clean-shutdown pass under ASan.
+# predicts (DESIGN.md §12), including a clean-shutdown pass under ASan,
+# then the standing mutation check (scripts/mutants.sh): every recorded
+# source mutation must still be caught by its test target.
 #
 #   scripts/verify.sh [build-dir-prefix] [stage ...] [--self-test]
 #
 # Stages: tier1 perf-smoke chaos asan tsan notrace e2e-udp e2e-chaos-udp
-# bench-gate
+# mutants bench-gate
 # (default: all, in that order). Named stages assume their build tree exists
 # when they reuse one from an earlier stage (e2e-udp and bench-gate
 # configure/build what they need). The bench-gate stage re-runs the
@@ -24,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages="tier1 perf-smoke chaos asan tsan notrace e2e-udp e2e-chaos-udp bench-gate"
+all_stages="tier1 perf-smoke chaos asan tsan notrace e2e-udp e2e-chaos-udp mutants bench-gate"
 
 usage() {
   echo "usage: scripts/verify.sh [build-dir-prefix] [stage ...] [--self-test]"
@@ -300,6 +302,15 @@ if want e2e-chaos-udp; then
     --target dyconits_server dyconits_client
   e2e_chaos_run "$prefix-sanitize" 3 240
   echo "-- ASan chaos run: clean shutdown, recovery invariants hold"
+fi
+
+if want mutants; then
+  echo "== mutants: recorded source mutations must each fail their target =="
+  # A test that passes is evidence only if it can fail. Each patch in
+  # scripts/mutants/ is a defect some test was once shown to catch; the
+  # stage re-proves it on every run, in a scratch copy of the tree, so a
+  # refactor that quietly blinds a test is caught here.
+  DYCONITS_MUTANTS_DIR="$prefix-mutants" scripts/mutants.sh
 fi
 
 if want bench-gate; then

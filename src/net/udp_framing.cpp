@@ -94,9 +94,11 @@ std::optional<Frame> Reassembler::feed(const std::uint8_t* body, std::size_t n, 
   ByteReader r(body, n);
   std::uint64_t msg_id = 0, index = 0, count = 0;
   std::vector<std::uint8_t> chunk;
+  // fragment_frame never sends an empty chunk, and an empty part would
+  // read as a missing one below (a copy of it would count twice).
   if (!r.varint(msg_id) || !r.varint(index) || !r.varint(count) || !r.blob(chunk) ||
-      !r.at_end() || count == 0 || count > kMaxFragments || index >= count ||
-      msg_id > 0xFFFFFFFFull) {
+      !r.at_end() || chunk.empty() || count == 0 || count > kMaxFragments ||
+      index >= count || msg_id > 0xFFFFFFFFull) {
     ++stats_.malformed;
     return std::nullopt;
   }

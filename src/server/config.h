@@ -102,12 +102,6 @@ struct ServerConfig {
   /// player density (spread walkers vs a packed village).
   std::function<world::Vec3(const std::string& name)> spawn_provider;
 
-  /// Federation: authority predicate over chunks. When set, block edits
-  /// targeting chunks this server does not own are rejected (the owning
-  /// instance is authoritative; its changes arrive via the federation
-  /// layer). Unset = owns everything (single-instance).
-  std::function<bool(world::ChunkPos)> owns_chunk;
-
   /// Overload control (DESIGN.md §10): bounded per-subscriber egress
   /// queues, the tick watchdog + degradation ladder, and join-time
   /// admission control. Disabled by default — with overload.enabled false

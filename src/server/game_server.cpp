@@ -279,14 +279,12 @@ void GameServer::handle_message(Session& s, const protocol::AnyMessage& m) {
   if (const auto* move = std::get_if<protocol::PlayerMove>(&m)) {
     apply_player_move(s, *move);
   } else if (const auto* dig = std::get_if<protocol::PlayerDig>(&m)) {
-    if (cfg_.owns_chunk && !cfg_.owns_chunk(ChunkPos::of_block(dig->pos))) return;
     const world::Block b = world_.block_at(dig->pos);
     if (world::is_breakable(b)) {
       world_.set_block(dig->pos, world::Block::Air);
       if (cfg_.survival_mode) drop_item(dig->pos, b);
     }
   } else if (const auto* place = std::get_if<protocol::PlayerPlace>(&m)) {
-    if (cfg_.owns_chunk && !cfg_.owns_chunk(ChunkPos::of_block(place->pos))) return;
     if (world::is_solid(place->block) &&
         world_.block_at(place->pos) == world::Block::Air) {
       if (cfg_.survival_mode) {
@@ -439,11 +437,6 @@ void GameServer::on_block_change(const world::BlockChange& change) {
   const ChunkPos chunk = ChunkPos::of_block(change.pos);
   const protocol::BlockChange msg{change.pos, change.new_block};
 
-  if (update_tap_ && !applying_external_) {
-    update_tap_(msg, 1.0, dyconit::coalesce_key_block(change.pos), chunk,
-                entity::EntityKind::Player);
-  }
-
   if (cfg_.use_dyconits) {
     Update u;
     u.msg = msg;
@@ -475,9 +468,6 @@ void GameServer::dispatch_moved_entities() {
 
 void GameServer::dispatch_entity_move(const Entity& e, double weight) {
   const protocol::EntityMove msg{e.id, e.pos, e.yaw, e.pitch};
-  if (update_tap_ && external_entities_.count(e.id) == 0) {
-    update_tap_(msg, weight, dyconit::coalesce_key_entity(e.id), e.chunk(), e.kind);
-  }
   const auto own_it = entity_to_session_.find(e.id);
   const SubscriberId own =
       own_it == entity_to_session_.end() ? dyconit::kNoSubscriber : own_it->second;
@@ -864,48 +854,6 @@ void GameServer::announce_spawn(const Entity& e) {
   }
 }
 
-// -------------------------------------------------------------- federation
-
-void GameServer::apply_external_block(const world::BlockPos& pos, world::Block b) {
-  applying_external_ = true;
-  world_.set_block(pos, b);
-  applying_external_ = false;
-}
-
-entity::EntityId GameServer::spawn_external_entity(entity::EntityKind kind,
-                                                   const world::Vec3& pos,
-                                                   std::uint16_t data,
-                                                   const std::string& name) {
-  Entity& e = registry_.create(kind, pos);
-  e.data = data;
-  external_entities_.insert(e.id);
-  external_names_[e.id] = name;
-  announce_spawn(e);
-  return e.id;
-}
-
-void GameServer::move_external_entity(entity::EntityId id, const world::Vec3& pos,
-                                      float yaw, float pitch, double weight) {
-  Entity* e = registry_.find(id);
-  if (e == nullptr || external_entities_.count(id) == 0) return;
-  const ChunkPos before = e->chunk();
-  registry_.move(*e, pos);
-  e->yaw = yaw;
-  e->pitch = pitch;
-  moved_[id] += weight;
-  const ChunkPos after = e->chunk();
-  if (before != after) entity_crossed_chunk(*e, before, after);
-}
-
-void GameServer::remove_external_entity(entity::EntityId id) {
-  Entity* e = registry_.find(id);
-  if (e == nullptr || external_entities_.erase(id) == 0) return;
-  external_names_.erase(id);
-  despawn_entity_everywhere(id, e->chunk());
-  registry_.remove(id);
-  moved_.erase(id);
-}
-
 std::uint32_t GameServer::inventory_of(SubscriberId sub, world::Block item) const {
   const auto sit = sessions_.find(sub);
   if (sit == sessions_.end()) return 0;
@@ -1268,8 +1216,6 @@ void GameServer::send_entity_spawn(Session& s, const Entity& e) {
 
 const std::string& GameServer::display_name_of(EntityId id) const {
   static const std::string kEmpty;
-  const auto eit = external_names_.find(id);
-  if (eit != external_names_.end()) return eit->second;
   const auto it = entity_to_session_.find(id);
   if (it == entity_to_session_.end()) return kEmpty;
   const auto sit = sessions_.find(it->second);

@@ -82,34 +82,6 @@ class GameServer final : public dyconit::FlushSink {
   trace::TickProfiler& profiler() { return profiler_; }
   const trace::TickProfiler& profiler() const { return profiler_; }
 
-  // -- federation hooks --
-  /// Observes every locally-originated update the server dispatches (block
-  /// changes and entity moves), with its dyconit coalesce key and source
-  /// chunk. Externally-applied updates and mirror entities are not tapped
-  /// (loop prevention). `kind` is meaningful for entity moves only.
-  using UpdateTap =
-      std::function<void(const protocol::AnyMessage& msg, double weight,
-                         std::uint64_t key, world::ChunkPos chunk,
-                         entity::EntityKind kind)>;
-  void set_update_tap(UpdateTap tap) { update_tap_ = std::move(tap); }
-
-  /// Applies a block change received from a peer instance: local players
-  /// are notified through the normal dispatch path, but the update tap is
-  /// suppressed.
-  void apply_external_block(const world::BlockPos& pos, world::Block b);
-
-  /// Mirror entities: local stand-ins for entities owned by a peer.
-  entity::EntityId spawn_external_entity(entity::EntityKind kind,
-                                         const world::Vec3& pos, std::uint16_t data,
-                                         const std::string& name);
-  void move_external_entity(entity::EntityId id, const world::Vec3& pos, float yaw,
-                            float pitch, double weight);
-  void remove_external_entity(entity::EntityId id);
-  bool is_external_entity(entity::EntityId id) const {
-    return external_entities_.count(id) > 0;
-  }
-  std::size_t external_entity_count() const { return external_entities_.size(); }
-
   /// Entity id of a connected player, kInvalidEntity if unknown.
   entity::EntityId entity_of(SubscriberId sub) const;
   /// Smoothed keep-alive RTT of a player; zero until measured.
@@ -117,9 +89,16 @@ class GameServer final : public dyconit::FlushSink {
   /// Positions of all connected players (policy views).
   std::vector<dyconit::PlayerView> player_views() const;
 
-  /// Total updates suppressed relative to a vanilla send (coalesced).
+  /// Inventory count of one item for a connected player (0 if unknown).
+  std::uint32_t inventory_of(SubscriberId sub, world::Block item) const;
+
   std::uint64_t keepalives_sent() const { return keepalives_sent_; }
   std::uint64_t sessions_timed_out() const { return sessions_timed_out_; }
+  std::uint64_t items_dropped() const { return items_dropped_; }
+  std::uint64_t items_picked_up() const { return items_picked_up_; }
+  std::uint64_t items_expired() const { return items_expired_; }
+  /// Dirt-to-grass regrowths applied by tick_environment().
+  std::uint64_t env_changes() const { return env_changes_; }
 
   // -- fault/recovery introspection (DESIGN.md §8) --
   std::uint64_t resyncs_served() const { return resyncs_served_; }
@@ -384,33 +363,15 @@ class GameServer final : public dyconit::FlushSink {
     SimTime expires;
   };
   std::vector<DroppedItem> items_;
-  UpdateTap update_tap_;
-  bool applying_external_ = false;
-  std::unordered_set<entity::EntityId> external_entities_;
-  std::unordered_map<entity::EntityId, std::string> external_names_;
   std::uint64_t items_dropped_ = 0;
   std::uint64_t items_picked_up_ = 0;
   std::uint64_t items_expired_ = 0;
-
- public:
-  std::uint64_t items_dropped() const { return items_dropped_; }
-  std::uint64_t items_picked_up() const { return items_picked_up_; }
-  std::uint64_t items_expired() const { return items_expired_; }
-  /// Inventory count of one item for a connected player (0 if unknown).
-  std::uint32_t inventory_of(SubscriberId sub, world::Block item) const;
-
- private:
 
   /// Chunks eligible for environmental ticks (watched by someone); lazily
   /// rebuilt from viewers_ every couple of seconds.
   std::vector<world::ChunkPos> active_chunks_;
   std::uint64_t active_chunks_built_at_tick_ = 0;
   std::uint64_t env_changes_ = 0;
-
- public:
-  std::uint64_t env_changes() const { return env_changes_; }
-
- private:
 };
 
 }  // namespace dyconits::server

@@ -170,8 +170,8 @@ class TraceScope {
 };
 
 /// Installs `p` as the tracer's active profiler for the current scope and
-/// restores the previous one on exit (so nested servers — federation —
-/// each aggregate their own tick). Null is allowed and installs nothing,
+/// restores the previous one on exit (so servers ticked inside another's
+/// scope each aggregate their own tick). Null is allowed and installs nothing,
 /// keeping an unprofiled server from shadowing a profiled outer one.
 class ProfilerScope {
  public:

@@ -5,12 +5,18 @@
 // over-reads, or loops. Every ChunkData that survives decode() then goes
 // through Chunk::decode_rle, the next parser on the socket path: a rejected
 // payload must leave the chunk unchanged and an accepted one must leave its
-// derived state consistent (scripts/verify.sh runs this under ASan+UBSan
-// with DYCONITS_FUZZ_ITERS=100000).
+// derived state consistent. Below decode() sit the datagram parsers, swept
+// the same way: udpwire::parse_frames over Data bodies and
+// udpwire::Reassembler::feed over Fragment bodies (scripts/verify.sh runs
+// this under ASan+UBSan with DYCONITS_FUZZ_ITERS=100000).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <utility>
 
+#include "net/bytes.h"
+#include "net/udp_framing.h"
 #include "protocol/codec.h"
 #include "util/rng.h"
 #include "world/chunk.h"
@@ -241,6 +247,300 @@ TEST(ProtocolFuzz, HostileLengthClaimsDoNotAllocate) {
     f.payload = {0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
     EXPECT_FALSE(decode(f).has_value()) << static_cast<int>(tag);
   }
+}
+
+// --------------------------------------------------------------- datagrams
+
+using net::udpwire::Reassembler;
+
+/// Small enough that the corpus chunk spans dozens of fragments.
+constexpr std::size_t kFuzzMtu = 128;
+/// The msg_id of the clean message fed after hostile input. Hostile
+/// fragments claiming it are skipped: a peer that squats on a live msg_id
+/// can always spoil that one message, and that is not what is under test.
+constexpr std::uint64_t kCleanMsgId = 0x5EED;
+
+/// A Data datagram body carrying every corpus message but the chunk (the
+/// bulky one is the fragmented message), one sequenced frame each.
+std::vector<std::uint8_t> data_body() {
+  std::vector<std::uint8_t> body;
+  std::uint32_t seq = 1;
+  for (const auto& msg : corpus()) {
+    if (std::holds_alternative<ChunkData>(msg)) continue;
+    net::Frame f = encode(msg);
+    f.seq = seq++;
+    net::udpwire::append_frame(body, f);
+  }
+  return body;
+}
+
+/// The corpus chunk as one sequenced frame.
+net::Frame chunk_frame() {
+  for (const auto& msg : corpus()) {
+    if (!std::holds_alternative<ChunkData>(msg)) continue;
+    net::Frame f = encode(msg);
+    f.seq = 0xABCDE;
+    return f;
+  }
+  return {};
+}
+
+/// Fragment bodies (kind byte stripped, as Reassembler::feed takes them).
+std::vector<std::vector<std::uint8_t>> fragment_bodies(const net::Frame& f,
+                                                       std::uint32_t msg_id) {
+  auto datagrams = net::udpwire::fragment_frame(f, kFuzzMtu, msg_id);
+  for (auto& d : datagrams) d.erase(d.begin());
+  return datagrams;
+}
+
+/// A Fragment body with an arbitrary header over `chunk`.
+std::vector<std::uint8_t> fragment_body(std::uint64_t msg_id, std::uint64_t index,
+                                        std::uint64_t count,
+                                        const std::vector<std::uint8_t>& chunk) {
+  net::ByteWriter w;
+  w.varint(msg_id);
+  w.varint(index);
+  w.varint(count);
+  w.blob(chunk);
+  return w.take();
+}
+
+/// The msg_id a Fragment body claims (its leading varint), if readable.
+std::optional<std::uint64_t> claimed_msg_id(const std::vector<std::uint8_t>& body) {
+  net::ByteReader r(body);
+  std::uint64_t id = 0;
+  if (!r.varint(id)) return std::nullopt;
+  return id;
+}
+
+void expect_same_frame(const net::Frame& got, const net::Frame& want) {
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+/// parse_frames must reject or accept without crashing; every frame it
+/// yields goes on to decode(), the next parser on the socket path.
+bool parse_must_not_crash(const std::vector<std::uint8_t>& body) {
+  std::vector<net::Frame> frames;
+  const bool ok = net::udpwire::parse_frames(body.data(), body.size(), frames);
+  for (const auto& f : frames) decode_must_not_crash(f);
+  return ok;
+}
+
+/// feed() must reject, hold or complete without crashing; a frame it
+/// restores goes on to decode().
+void feed_must_not_crash(Reassembler& r, const std::vector<std::uint8_t>& body,
+                         SimTime now) {
+  if (const auto got = r.feed(body.data(), body.size(), now)) decode_must_not_crash(*got);
+}
+
+/// Whatever `r` was fed before, the clean chunk fragments under kCleanMsgId
+/// complete on the last one and restore the frame byte-exact.
+void expect_clean_reassembly(Reassembler& r, SimTime now) {
+  const net::Frame want = chunk_frame();
+  const auto bodies = fragment_bodies(want, static_cast<std::uint32_t>(kCleanMsgId));
+  std::optional<net::Frame> got;
+  for (const auto& b : bodies) {
+    ASSERT_FALSE(got.has_value());
+    got = r.feed(b.data(), b.size(), now);
+  }
+  ASSERT_TRUE(got.has_value());
+  expect_same_frame(*got, want);
+}
+
+TEST(DatagramFuzz, TruncationAtEveryLength) {
+  // Every prefix of a multi-frame Data body parses without crashing: the
+  // full body parses, and cutting into any frame fails.
+  const auto body = data_body();
+  ASSERT_TRUE(parse_must_not_crash(body));
+  std::uint64_t rejected = 0;
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    rejected += parse_must_not_crash({body.begin(), body.begin() + len}) ? 0 : 1;
+  }
+  EXPECT_GT(rejected, 0u);
+
+  // Every proper prefix of every Fragment body is malformed: the blob's
+  // length prefix claims bytes the cut removed.
+  const auto bodies = fragment_bodies(chunk_frame(), 7);
+  ASSERT_GT(bodies.size(), 10u);
+  Reassembler r;
+  std::uint64_t cuts = 0;
+  for (const auto& b : bodies) {
+    for (std::size_t len = 0; len < b.size(); ++len, ++cuts) {
+      feed_must_not_crash(r, {b.begin(), b.begin() + len}, SimTime::zero());
+    }
+  }
+  EXPECT_EQ(r.stats().malformed, cuts);
+  EXPECT_EQ(r.partial_count(), 0u);
+  expect_clean_reassembly(r, SimTime::zero());
+}
+
+TEST(DatagramFuzz, SeededMutationSweep) {
+  const auto body = data_body();
+  const auto bodies = fragment_bodies(chunk_frame(), 7);
+  Rng rng(0xDA7A6EA3ull);
+  const std::uint64_t iters = fuzz_iters(20000);
+  // One long-lived reassembler, as a receiver keeps one per peer; its clock
+  // advances and gc() runs, so stale partials stay bounded.
+  Reassembler r(SimDuration::seconds(1));
+  SimTime now = SimTime::zero();
+  std::uint64_t data_ok = 0, data_bad = 0;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    const bool data = rng.next_below(2) == 0;
+    std::vector<std::uint8_t> d = data ? body : bodies[rng.next_below(bodies.size())];
+    switch (rng.next_below(4)) {
+      case 0: {  // bit flips anywhere
+        const std::uint64_t flips = 1 + rng.next_below(8);
+        for (std::uint64_t k = 0; k < flips; ++k) {
+          d[rng.next_below(d.size())] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncate to a random length
+        d.resize(rng.next_below(d.size()));
+        break;
+      case 2: {  // scramble the leading bytes: kind-specific headers and
+                 // varint length claims live there
+        const std::size_t n = std::min<std::size_t>(d.size(), 6);
+        for (std::size_t k = 0; k < n; ++k) {
+          d[k] = static_cast<std::uint8_t>(rng.next_below(256));
+        }
+        break;
+      }
+      case 3: {  // overwrite a random run with random bytes
+        const std::size_t at = rng.next_below(d.size());
+        const std::size_t n = std::min<std::size_t>(d.size() - at, 1 + rng.next_below(8));
+        for (std::size_t k = 0; k < n; ++k) {
+          d[at + k] = static_cast<std::uint8_t>(rng.next_below(256));
+        }
+        break;
+      }
+    }
+    if (data) {
+      ++(parse_must_not_crash(d) ? data_ok : data_bad);
+    } else if (claimed_msg_id(d) != kCleanMsgId) {
+      feed_must_not_crash(r, d, now);
+    }
+    now += SimDuration::millis(10);
+    if (i % 64 == 0) r.gc(now);
+  }
+  // Sanity: the mutator yields both survivable and rejected input.
+  EXPECT_GT(data_ok, 0u);
+  EXPECT_GT(data_bad, 0u);
+  EXPECT_GT(r.stats().malformed, 0u);
+  EXPECT_GT(r.stats().duplicate_fragments, 0u);
+  expect_clean_reassembly(r, now);
+}
+
+TEST(DatagramFuzz, HostileFragmentHeaders) {
+  // Extreme msg_id, index and count claims, over short and empty chunks.
+  const std::uint64_t kMax = net::udpwire::kMaxFragments;
+  const std::uint64_t ids[] = {0, 1, 0xFFFFFFFFull, 0x100000000ull, ~0ull};
+  const std::uint64_t counts[] = {0, 1, 2, kMax, kMax + 1, 0xFFFFFFFFull, ~0ull};
+  const std::uint64_t indices[] = {0, 1, kMax - 1, kMax, kMax + 1, ~0ull};
+  const std::vector<std::uint8_t> chunks[] = {{}, {0x01}, {0x01, 0x00, 0x00}};
+  Reassembler r;
+  std::uint64_t invalid = 0;
+  for (const std::uint64_t id : ids) {
+    for (const std::uint64_t count : counts) {
+      for (const std::uint64_t index : indices) {
+        for (const auto& chunk : chunks) {
+          const bool valid = count > 0 && count <= kMax && index < count &&
+                             id <= 0xFFFFFFFFull && !chunk.empty();
+          invalid += valid ? 0 : 1;
+          const std::size_t partials = r.partial_count();
+          feed_must_not_crash(r, fragment_body(id, index, count, chunk), SimTime::zero());
+          // A rejected fragment never opens a partial.
+          if (!valid) {
+            EXPECT_LE(r.partial_count(), partials);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(r.stats().malformed, invalid);
+  // At most one partial per in-range msg_id.
+  EXPECT_LE(r.partial_count(), 3u);
+  expect_clean_reassembly(r, SimTime::zero());
+}
+
+TEST(DatagramFuzz, ZeroLengthFragmentIsMalformed) {
+  // fragment_frame never emits an empty chunk. feed() used to store one,
+  // yet an empty slot reads as unfilled: a second copy counted as a new
+  // part and the message "completed" with a real fragment missing. Here two
+  // spoofed empty copies of part 1 must neither complete nor spoil the
+  // message; the real part 1 still completes it byte-exact.
+  const net::Frame want = chunk_frame();
+  const auto bodies = fragment_bodies(want, 11);
+  ASSERT_GE(bodies.size(), 2u);
+  Reassembler r;
+  const auto empty_part = fragment_body(11, 1, bodies.size(), {});
+  EXPECT_FALSE(r.feed(bodies[0].data(), bodies[0].size(), SimTime::zero()).has_value());
+  EXPECT_FALSE(r.feed(empty_part.data(), empty_part.size(), SimTime::zero()).has_value());
+  EXPECT_FALSE(r.feed(empty_part.data(), empty_part.size(), SimTime::zero()).has_value());
+  EXPECT_EQ(r.stats().malformed, 2u);
+  std::optional<net::Frame> got;
+  for (std::size_t i = 1; i < bodies.size(); ++i) {
+    ASSERT_FALSE(got.has_value());
+    got = r.feed(bodies[i].data(), bodies[i].size(), SimTime::zero());
+  }
+  ASSERT_TRUE(got.has_value());
+  expect_same_frame(*got, want);
+}
+
+TEST(DatagramFuzz, DuplicatedAndInterleavedMessages) {
+  // Several fragmented messages in flight at once, their fragments shuffled
+  // together with random duplicates. Every message completes, and every
+  // frame restored is byte-exact for its msg_id: interleaving never mixes
+  // parts. A duplicate that lands after its message completed opens a
+  // fresh partial (the reassembler keeps no record of finished ids; the seq
+  // layer above drops a repeated frame), which gc() collects.
+  Rng rng(0x1D7E4ull);
+  const std::uint64_t rounds = std::max<std::uint64_t>(1, fuzz_iters(20000) / 200);
+  Reassembler r(SimDuration::seconds(1));
+  SimTime now = SimTime::zero();
+  std::uint32_t next_id = 1;
+  std::uint64_t restored = 0;
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    std::vector<net::Frame> frames;
+    std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> wire;
+    const std::uint32_t first_id = next_id;
+    const std::size_t n = 2 + rng.next_below(4);
+    for (std::size_t m = 0; m < n; ++m) {
+      net::Frame f;
+      f.tag = static_cast<std::uint8_t>(rng.next_below(net::kMaxTags));
+      f.seq = static_cast<std::uint32_t>(rng.next_u64());
+      f.payload.resize(kFuzzMtu + rng.next_below(1500));
+      for (auto& b : f.payload) b = static_cast<std::uint8_t>(rng.next_below(256));
+      for (auto& body : fragment_bodies(f, next_id++)) {
+        if (rng.next_below(3) == 0) wire.emplace_back(m, body);
+        wire.emplace_back(m, std::move(body));
+      }
+      frames.push_back(std::move(f));
+    }
+    for (std::size_t i = wire.size(); i > 1; --i) {
+      std::swap(wire[i - 1], wire[rng.next_below(i)]);
+    }
+    std::vector<std::uint64_t> completions(n, 0);
+    for (const auto& [m, body] : wire) {
+      if (const auto got = r.feed(body.data(), body.size(), now)) {
+        ASSERT_EQ(claimed_msg_id(body), first_id + m);
+        expect_same_frame(*got, frames[m]);
+        ++completions[m];
+        ++restored;
+      }
+    }
+    for (std::size_t m = 0; m < n; ++m) {
+      EXPECT_GE(completions[m], 1u) << "message " << m;
+    }
+    now += SimDuration::seconds(2);
+    r.gc(now);
+    EXPECT_EQ(r.partial_count(), 0u);
+  }
+  EXPECT_EQ(r.stats().completed, restored);
+  EXPECT_GT(r.stats().duplicate_fragments, 0u);
+  EXPECT_EQ(r.stats().malformed, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "dyconit/policies/basic.h"
@@ -81,8 +82,10 @@ class TestClient {
 
 class ServerTest : public ::testing::Test {
  protected:
-  /// policy spec "" = vanilla.
-  void build(const std::string& policy_spec) {
+  /// policy spec "" = vanilla. `tweak` adjusts the config before the
+  /// server is built.
+  void build(const std::string& policy_spec,
+             const std::function<void(ServerConfig&)>& tweak = {}) {
     ServerConfig cfg;
     cfg.view_distance = 2;
     cfg.unload_margin = 1;
@@ -94,6 +97,7 @@ class ServerTest : public ::testing::Test {
       const auto it = spawns_.find(name);
       return it != spawns_.end() ? it->second : Vec3{8.5, 1, 8.5};
     };
+    if (tweak) tweak(cfg);
     std::unique_ptr<dyconit::Policy> policy;
     if (!policy_spec.empty()) {
       policy = dyconit::make_policy(policy_spec);
@@ -614,20 +618,22 @@ TEST_F(ServerTest, VanillaMoveReachesExactlyTheViewersThatKnowTheEntity) {
 }
 
 TEST_F(ServerTest, ResyncReplaysSpawnsInAscendingEntityId) {
-  build("");
+  // Mobs spread over the view at seeded random positions: the client first
+  // learns of them in chunk-streaming order, not in id order.
+  build("", [](ServerConfig& cfg) {
+    cfg.mob_count = 40;
+    cfg.mob_seed = 7;
+    cfg.mob_spawn_radius = 20.0;
+  });
   TestClient a = make_client("alice");
   a.join();
   step({&a}, 2);
-  // Entities spread over the view, created out of spatial order.
   std::vector<entity::EntityId> ids;
-  for (int i = 0; i < 40; ++i) {
-    const double x = -20.5 + (i * 17) % 40;
-    const double z = -20.5 + (i * 29) % 40;
-    ids.push_back(server_->spawn_external_entity(entity::EntityKind::Mob, {x, 1, z}, 0,
-                                                 "m" + std::to_string(i)));
+  for (const auto& m : a.inbox()) {
+    if (const auto* sp = std::get_if<protocol::EntitySpawn>(&m)) ids.push_back(sp->id);
   }
-  step({&a}, 2);
-  ASSERT_EQ(a.count<protocol::EntitySpawn>(), ids.size());
+  ASSERT_EQ(ids.size(), 40u);
+  ASSERT_FALSE(std::is_sorted(ids.begin(), ids.end()));
   a.clear();
 
   a.send(protocol::ResyncRequest{0});
@@ -638,76 +644,6 @@ TEST_F(ServerTest, ResyncReplaysSpawnsInAscendingEntityId) {
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(replayed, ids);
-}
-
-// ------------------------------------------------------- federation hooks
-
-TEST_F(ServerTest, UpdateTapSeesLocalUpdatesButNotExternalOnes) {
-  build("zero");
-  int taps = 0;
-  server_->set_update_tap([&](const protocol::AnyMessage&, double, std::uint64_t,
-                              world::ChunkPos, entity::EntityKind) { ++taps; });
-  TestClient a = make_client("alice");
-  a.join();
-  step({&a}, 2);
-  a.clear();
-
-  // A peer-applied block change: local players notified, tap suppressed.
-  server_->apply_external_block({5, 1, 5}, world::Block::Sand);
-  step({&a}, 2);
-  EXPECT_EQ(taps, 0);
-  EXPECT_EQ(a.count<protocol::BlockChange>() + a.count<protocol::MultiBlockChange>(), 1u);
-
-  // A locally-originated change IS tapped.
-  a.send(protocol::PlayerPlace{{6, 1, 6}, world::Block::Planks});
-  step({&a}, 2);
-  EXPECT_EQ(taps, 1);
-}
-
-TEST_F(ServerTest, MirrorEntityLifecycle) {
-  build("zero");
-  TestClient a = make_client("alice");
-  a.join();
-  step({&a}, 2);
-  a.clear();
-
-  const auto id = server_->spawn_external_entity(entity::EntityKind::Player,
-                                                 {10.5, 1, 8.5}, 0, "remote:9");
-  step({&a}, 2);
-  EXPECT_TRUE(server_->is_external_entity(id));
-  ASSERT_EQ(a.count<protocol::EntitySpawn>(), 1u);
-  EXPECT_EQ(a.last<protocol::EntitySpawn>()->name, "remote:9");
-
-  server_->move_external_entity(id, {11.5, 1, 8.5}, 90.0f, 0.0f, 1.0);
-  step({&a}, 2);
-  EXPECT_GE(a.total_moves(), 1u);
-
-  server_->remove_external_entity(id);
-  step({&a}, 2);
-  EXPECT_EQ(a.count<protocol::EntityDespawn>(), 1u);
-  EXPECT_EQ(server_->entities().find(id), nullptr);
-  EXPECT_FALSE(server_->is_external_entity(id));
-}
-
-TEST_F(ServerTest, AuthorityPredicateRejectsForeignEdits) {
-  ServerConfig cfg;
-  cfg.view_distance = 2;
-  cfg.max_chunk_sends_per_tick = 100;
-  cfg.use_dyconits = false;
-  cfg.owns_chunk = [](world::ChunkPos c) { return c.x < 0; };  // owns west only
-  cfg.net_cost_per_frame = SimDuration::micros(0);
-  cfg.net_cost_per_byte_ns = 0.0;
-  cfg.spawn_provider = [this](const std::string& name) { return spawns_[name]; };
-  server_ = std::make_unique<GameServer>(clock_, net_, world_, nullptr, std::move(cfg));
-
-  TestClient a = make_client("alice", {-2.5, 1, 0.5});
-  a.join();
-  step({&a}, 2);
-  a.send(protocol::PlayerPlace{{-3, 1, 0}, world::Block::Planks});  // owned
-  a.send(protocol::PlayerPlace{{3, 1, 0}, world::Block::Planks});   // foreign
-  step({&a}, 2);
-  EXPECT_EQ(world_.block_at({-3, 1, 0}), world::Block::Planks);
-  EXPECT_EQ(world_.block_at({3, 1, 0}), world::Block::Air);
 }
 
 // -------------------------------------------------------------- keepalive
